@@ -75,7 +75,6 @@ class FleetFixture:
         }
 
     def dispatcher(self, transport, **kwargs):
-        kwargs.setdefault("poll_interval", 0.001)
         return FleetDispatcher(list(self.services), transport,
                                **kwargs)
 

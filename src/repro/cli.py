@@ -42,8 +42,7 @@ Subcommands mirror the method's steps over a DSL model file:
 - ``repro fleet sweep --workers host:port,host:port --count 50`` —
   shard a scenario sweep across running ``repro serve`` workers and
   merge the answers into one fleet report (see :mod:`repro.fleet`);
-  ``--stream`` consumes the workers' streaming endpoint so results
-  print as they complete.
+  ``--stream`` also prints each result as it arrives.
 
 Every ``engine`` subcommand is a thin client of the
 :class:`~repro.service.facade.AnalysisService` facade — the same API
@@ -520,14 +519,11 @@ def _cmd_fleet_sweep(args) -> int:
                                  timeout=args.timeout,
                                  max_attempts=args.max_attempts)
     try:
-        if args.stream:
-            # Results print the moment any worker answers — merging
-            # overlaps the slowest shard instead of waiting for it.
-            outcome = None
-            for event in dispatcher.sweep_stream(request):
-                if event[0] == "summary":
-                    outcome = event[1]
-                    continue
+        outcome = None
+        for event in dispatcher.sweep_stream(request):
+            if event[0] == "summary":
+                outcome = event[1]
+            elif args.stream:
                 _, index, result = event
                 if args.json:
                     print(json_module.dumps(
@@ -539,8 +535,6 @@ def _cmd_fleet_sweep(args) -> int:
                 else:
                     print(f"  {result.job_id} {result.max_level:8s} "
                           f"{result.fingerprint[:12]}")
-        else:
-            outcome = dispatcher.sweep(request)
     finally:
         transport.close()
     stats_line = outcome.stats.describe()
@@ -877,18 +871,16 @@ def build_parser() -> argparse.ArgumentParser:
                                   "coordinator and refuse ERROR-level "
                                   "ones before dispatch")
     fleet_sweep.add_argument("--timeout", type=float, default=60.0,
-                             help="per-shard dispatch-to-result "
-                                  "budget in seconds")
+                             help="bound on every worker read in "
+                                  "seconds; exceeding it retries or "
+                                  "rebalances the worker's shards")
     fleet_sweep.add_argument("--max-attempts", type=int, default=4,
                              help="dispatch attempts per shard before "
                                   "the run fails")
     fleet_sweep.add_argument("--stream", action="store_true",
-                             help="consume the workers' streaming "
-                                  "sweep endpoint: print each result "
-                                  "as it completes instead of "
-                                  "waiting for the slowest shard "
-                                  "(trades retry/rebalance for "
-                                  "latency)")
+                             help="print each result as it "
+                                  "arrives (the sweep, its retries "
+                                  "and rebalancing are unchanged)")
     fleet_sweep.add_argument("--json", action="store_true",
                              help="emit the merged outcome as JSON")
     fleet_sweep.add_argument("-o", "--output", default=None,

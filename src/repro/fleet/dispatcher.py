@@ -3,28 +3,31 @@
 :class:`FleetDispatcher` turns a batch of analysis jobs (or a whole
 :class:`~repro.service.messages.SweepRequest`) into wire traffic
 against a set of worker ``repro serve`` instances and merges the
-per-worker :class:`~repro.service.messages.AnalysisResponse`\\ s back
-into one ordered result list plus a
+per-worker answers back into one ordered result list plus a
 :class:`~repro.engine.aggregate.FleetReport`.
 
 Placement is consistent hashing over worker ids keyed by **model
 fingerprint** (:class:`HashRing`): every job on the same model lands
 on the same worker, so per-node LTS/result caches see maximal reuse,
-and losing a worker only moves that worker's shards. Dispatch rides
-the existing async-submission wire (``POST /v1/jobs`` with an
-``analyze`` operation): job ids are the stable hash of the canonical
-request, so a shard re-dispatched after a timeout *coalesces* on a
-worker that already has it — cross-node idempotency for free.
+and losing a worker only moves that worker's shards.
 
-Retry policy (capped exponential backoff): a transport failure or
-poll timeout marks the worker suspect; the coordinator re-probes its
-health, then either **retries** the shard on the same worker (probe
-answered — a transient drop) or declares the worker **lost**, removes
-it from the ring and **rebalances** every unfinished shard it held
-onto the survivors. A shard failing ``max_attempts`` times, or the
-ring emptying, raises :class:`FleetError`. Structured worker errors
-(invalid request, analysis error) fail fast — re-sending a bad
-request elsewhere cannot fix it.
+Dispatch has one path. Each worker's group of shards runs as one
+*exchange* on a reader thread, which relays answers to the
+coordinator as they arrive. A sweep streams one ``SweepRequest``
+slice (``POST /v1/sweep?stream=1``); an arbitrary job batch uploads
+its models and sends one synchronous ``POST /v1/analyze`` per shard.
+
+Retry policy, per exchange: a transport failure makes the coordinator
+re-probe the worker's health. If the probe answers (a transient drop),
+the exchange's **unanswered** shards retry on the same worker after a
+capped exponential backoff. If it does not, the worker is **lost**: it
+leaves the ring and only its unanswered shards **rebalance** onto the
+survivors. Answers already received are kept — signatures are
+deterministic, so a re-placed shard answers identically. A shard
+failing ``max_attempts`` times, or the ring emptying, raises
+:class:`FleetError`. Structured worker errors (invalid request,
+analysis error) fail fast — re-sending a bad request elsewhere cannot
+fix it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ import queue as queue_module
 import threading
 import time
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -215,8 +220,7 @@ class _Shard:
     """One unique dispatchable request and the job indices it serves."""
 
     __slots__ = ("key", "request_payload", "model_fp", "system",
-                 "indices", "worker", "attempts", "not_before",
-                 "job_id", "deadline", "result")
+                 "indices", "worker", "attempts", "result")
 
     def __init__(self, key: str, request_payload: dict, model_fp: str,
                  system, index: int):
@@ -227,10 +231,39 @@ class _Shard:
         self.indices: List[int] = [index]
         self.worker: Optional[str] = None
         self.attempts = 0
-        self.not_before = 0.0
-        self.job_id: Optional[str] = None
-        self.deadline = 0.0
         self.result: Optional[JobResult] = None
+
+
+class _Exchange:
+    """One worker's group of shards, in flight on a reader thread."""
+
+    __slots__ = ("worker", "shards", "closed")
+
+    def __init__(self, worker: str, shards: List[_Shard]):
+        self.worker = worker
+        self.shards = shards
+        self.closed = threading.Event()
+
+
+#: An exchange body: given a worker and its shards, yields
+#: ``(shard, JobResult)`` answers and ``(None, EngineStats)`` worker
+#: accounting, raising on failure.
+ExchangeBody = Callable[[str, List[_Shard]],
+                        Iterator[Tuple[Optional[_Shard], object]]]
+
+
+def _by_worker(shards: Sequence[_Shard]) -> Dict[str, List[_Shard]]:
+    groups: Dict[str, List[_Shard]] = {}
+    for shard in shards:
+        groups.setdefault(shard.worker, []).append(shard)
+    return groups
+
+
+def _drain(events: Iterator[Tuple]) -> FleetOutcome:
+    """Run a dispatch event iterator to its summary."""
+    for kind, *body in events:
+        if kind == "summary":
+            return body[0]
 
 
 class FleetDispatcher:
@@ -244,17 +277,16 @@ class FleetDispatcher:
     transport:
         The :class:`~repro.fleet.transport.Transport` to speak over.
     timeout:
-        Per-shard wall-clock budget between dispatch and completion;
-        exceeding it triggers the retry/rebalance path.
+        Bound on every worker read (one upload, one analysis, one
+        streamed line); exceeding it fails the exchange into the
+        retry/rebalance path.
     probe_timeout:
         Budget for the health probes that decide retry vs. rebalance.
     max_attempts:
         Dispatch attempts per shard before the run fails.
     backoff_base / backoff_cap:
-        Capped exponential backoff between a shard's attempts
+        Capped exponential backoff before a shard's retry
         (``min(cap, base * 2**(attempt-1))`` seconds).
-    poll_interval:
-        Coordinator sleep between poll rounds.
     replicas:
         Virtual nodes per worker on the placement ring.
     """
@@ -265,7 +297,6 @@ class FleetDispatcher:
                  max_attempts: int = 4,
                  backoff_base: float = 0.05,
                  backoff_cap: float = 2.0,
-                 poll_interval: float = 0.02,
                  replicas: int = 64,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
@@ -282,7 +313,6 @@ class FleetDispatcher:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.poll_interval = poll_interval
         self.replicas = replicas
         self._clock = clock
         self._sleep = sleep
@@ -290,49 +320,30 @@ class FleetDispatcher:
     # -- entry points ------------------------------------------------------
 
     def sweep(self, request: SweepRequest) -> FleetOutcome:
-        """Shard one sweep request across the fleet.
-
-        The scenario fleet is generated coordinator-side (it is a pure
-        function of the request's seed), then dispatched job-by-job —
-        workers never need the generator, only the wire contract.
-        """
-        unknown = [kind for kind in request.kinds
-                   if kind not in kind_names()]
-        if unknown:
-            raise FleetError(
-                f"unknown analysis kind(s) {unknown}; registered: "
-                f"{sorted(kind_names())}")
-        generator = ScenarioGenerator(
-            seed=request.seed,
-            personas_per_scenario=request.personas)
-        jobs = scenario_jobs(generator.generate(request.count),
-                             kinds=request.kinds)
-        return self.run(jobs, screen=request.screen,
-                        lint="strict" if request.strict_lint
-                        else False)
+        """Shard one sweep request across the fleet: the summary of
+        :meth:`sweep_stream`."""
+        return _drain(self.sweep_stream(request))
 
     def sweep_stream(self, request: SweepRequest
                      ) -> Iterator[Tuple]:
         """Stream one sweep across the fleet, result by result.
 
         Yields ``("result", index, JobResult)`` events in completion
-        order — the coordinator starts merging the moment the fastest
-        worker answers its first job, not when the slowest shard
-        finishes — then one final ``("summary", FleetOutcome)`` whose
-        results are in job order, exactly :meth:`sweep`'s shape.
+        order — screened results first, before any worker answers —
+        then one final ``("summary", FleetOutcome)`` whose results are
+        in job order. Every selected index is yielded exactly once.
 
-        Placement reuses the fingerprint ring: each worker receives
-        *one* ``SweepRequest`` carrying its ``indices`` slice of the
-        seed-determined fleet over the transport's streaming exchange
-        (``POST /v1/sweep?stream=1``), regenerates the same fleet
-        locally and streams back its slice. Coordinator-side lint and
-        taint screening run exactly as in :meth:`run` — screened jobs
-        yield immediately, before any worker answers.
+        The scenario fleet is a pure function of the request's seed.
+        The coordinator generates it to lint, screen and place it;
+        each worker then receives one ``SweepRequest`` naming a
+        representative index per shard, regenerates the same fleet
+        and streams back its slice — no model upload. A worker lost
+        or dropped mid-stream is handled per exchange, exactly as in
+        :meth:`run`.
 
-        Streaming trades the buffered path's retry/rebalance window
-        for latency: results already yielded cannot be recalled, so a
-        worker lost *mid-stream* fails the sweep with
-        :class:`FleetError` instead of rebalancing.
+        Validation, lint, screening and the health probe run before
+        this returns; the exchanges start on the first ``next()``.
+        Closing the iterator early closes every open exchange.
         """
         unknown = [kind for kind in request.kinds
                    if kind not in kind_names()]
@@ -340,7 +351,6 @@ class FleetDispatcher:
             raise FleetError(
                 f"unknown analysis kind(s) {unknown}; registered: "
                 f"{sorted(kind_names())}")
-        started = self._clock()
         generator = ScenarioGenerator(
             seed=request.seed,
             personas_per_scenario=request.personas)
@@ -348,117 +358,19 @@ class FleetDispatcher:
                              kinds=request.kinds)
         for index, job in enumerate(jobs):
             job.job_id = f"job-{index:04d}"
-        selected = list(request.indices) \
-            if request.indices is not None else list(range(len(jobs)))
-        for index in selected:
-            if index >= len(jobs):
-                raise FleetError(
-                    f"sweep index {index} out of range for a "
-                    f"{len(jobs)}-job fleet")
-        stats = FleetStats(jobs=len(selected))
-        reports = {worker: WorkerReport(worker)
-                   for worker in self.workers}
-
-        if request.strict_lint:
-            self._lint([jobs[i] for i in selected], stats,
-                       strict=True)
-        screened: Dict[int, JobResult] = {}
-        if request.screen:
-            screened = {
-                index: result for index, result
-                in self._screen(jobs, stats).items()
-                if index in set(selected)}
-
-        ring = self._probe_workers(reports, stats)
-        assignments: Dict[str, List[int]] = {}
-        model_fps: Dict[int, str] = {}
-        for index in selected:
-            if index in screened:
-                continue
-            job = jobs[index]
-            model_fp = model_fps.get(id(job.system))
-            if model_fp is None:
-                model_fp = model_fingerprint(job.system)
-                model_fps[id(job.system)] = model_fp
-            worker = ring.assign(model_fp)
-            assignments.setdefault(worker, []).append(index)
-        stats.shards = len(assignments)
-
-        def generate() -> Iterator[Tuple]:
-            results: Dict[int, JobResult] = dict(screened)
-            for index in sorted(screened):
-                yield ("result", index, screened[index])
-            events: "queue_module.Queue" = queue_module.Queue()
-
-            def read(worker: str, indices: List[int]) -> None:
-                payload = replace(
-                    request, indices=tuple(indices), screen=False,
-                    strict_lint=False).to_dict()
-                try:
-                    summary = None
-                    for line in self.transport.stream(
-                            worker, "/v1/sweep", payload,
-                            timeout=self.timeout):
-                        if "summary" in line:
-                            summary = line["summary"]
-                        else:
-                            events.put(("result", worker, line))
-                    events.put(("done", worker, summary))
-                except Exception as error:  # noqa: BLE001 — relayed
-                    events.put(("error", worker, error))
-
-            for worker, indices in assignments.items():
-                reports[worker].dispatched += len(indices)
-                threading.Thread(
-                    target=read, args=(worker, indices),
-                    name=f"fleet-stream-{worker}",
-                    daemon=True).start()
-            waiting = set(assignments)
-            while waiting:
-                kind, worker, body = events.get()
-                if kind == "error":
-                    message = (f"streaming sweep failed on worker "
-                               f"{worker}: {body}")
-                    if isinstance(body, BaseException):
-                        raise FleetError(message) from body
-                    raise FleetError(message)
-                if kind == "done":
-                    waiting.discard(worker)
-                    if body and body.get("stats"):
-                        self._absorb_engine(
-                            stats.engine,
-                            stats_from_dict(body["stats"]))
-                    continue
-                index = body["index"]
-                result = result_from_dict(body["result"])
-                results[index] = result
-                reports[worker].completed += 1
-                yield ("result", index, result)
-            missing = [index for index in selected
-                       if index not in results]
-            if missing:
-                raise FleetError(
-                    f"streaming sweep finished with {len(missing)} "
-                    f"unanswered job(s), first {missing[:5]}")
-            stats.wall_time = self._clock() - started
-            merged = stats.engine
-            merged.backend = "fleet"
-            merged.jobs = len(selected)
-            merged.wall_time = stats.wall_time
-            for index in selected:
-                kind_name = jobs[index].kind
-                merged.by_kind[kind_name] = \
-                    merged.by_kind.get(kind_name, 0) + 1
-            stats.workers = tuple(reports[worker]
-                                  for worker in self.workers)
-            stats.lost_workers = tuple(
-                report.worker for report in stats.workers
-                if report.lost)
-            yield ("summary", FleetOutcome(
-                results=tuple(results[index] for index in selected),
-                stats=stats))
-
-        return generate()
+        selected = range(len(jobs)) if request.indices is None \
+            else request.indices
+        out_of_range = [index for index in selected
+                        if index >= len(jobs)]
+        if out_of_range:
+            raise FleetError(
+                f"sweep indices {out_of_range} out of range for a "
+                f"{len(jobs)}-job fleet")
+        return self._stream(
+            [(index, jobs[index]) for index in selected],
+            screen=request.screen,
+            lint="strict" if request.strict_lint else False,
+            exchange=partial(self._sweep_exchange, request))
 
     def run(self, jobs: Sequence[AnalysisJob], screen: bool = False,
             lint=False) -> FleetOutcome:
@@ -478,38 +390,218 @@ class FleetDispatcher:
         *before any worker sees a byte*; ``"warn"`` lints and counts
         but never refuses.
         """
+        return _drain(self._stream(list(enumerate(jobs)), screen, lint,
+                                   exchange=self._analyze_exchange))
+
+    # -- the one dispatch path ---------------------------------------------
+
+    def _stream(self, indexed: List[Tuple[int, AnalysisJob]],
+                screen: bool, lint, exchange: ExchangeBody
+                ) -> Iterator[Tuple]:
+        """Lint, screen, probe and place ``(index, job)`` pairs now;
+        the returned iterator runs the exchanges and merges."""
         if lint not in (False, True, "strict", "warn"):
             raise ValueError(
                 f"lint must be False, True, 'strict' or 'warn', "
                 f"got {lint!r}")
-        jobs = list(jobs)
         started = self._clock()
-        stats = FleetStats(jobs=len(jobs))
+        stats = FleetStats(jobs=len(indexed))
         reports = {worker: WorkerReport(worker)
                    for worker in self.workers}
+        for index, job in indexed:
+            if not job.job_id:
+                job.job_id = f"job-{index:04d}"
 
         if lint:
-            self._lint(jobs, stats, strict=lint in (True, "strict"))
-
+            self._lint([job for _, job in indexed], stats,
+                       strict=lint in (True, "strict"))
         screened: Dict[int, JobResult] = \
-            self._screen(jobs, stats) if screen else {}
+            self._screen(indexed, stats) if screen else {}
 
         ring = self._probe_workers(reports, stats)
-        shards = self._prepare(jobs, stats, skip=screened.keys())
+        shards = self._prepare(indexed, stats, skip=screened.keys())
         for shard in shards:
             shard.worker = ring.assign(shard.model_fp)
         stats.shards = len(shards)
+        return self._events(indexed, screened, shards, ring, reports,
+                            stats, exchange, started)
 
-        ring = self._drive(shards, ring, reports, stats)
+    def _events(self, indexed: List[Tuple[int, AnalysisJob]],
+                screened: Dict[int, JobResult], shards: List[_Shard],
+                ring: HashRing, reports: Dict[str, WorkerReport],
+                stats: FleetStats, exchange: ExchangeBody,
+                started: float) -> Iterator[Tuple]:
+        """The dispatch loop: screened results, then every worker's
+        shards as one exchange each, answers fanned out to the indices
+        they serve as they arrive, then the summary.
 
-        results = self._merge(jobs, shards, stats, screened=screened)
-        stats.wall_time = self._clock() - started
-        stats.engine.wall_time = stats.wall_time
-        stats.workers = tuple(reports[worker]
-                              for worker in self.workers)
-        stats.lost_workers = tuple(
-            report.worker for report in stats.workers if report.lost)
-        return FleetOutcome(results=tuple(results), stats=stats)
+        Every reader thread ends with a ``done`` or ``error`` event and
+        the transport bounds each read by ``timeout``, so no wait here
+        is unbounded. However the loop ends — completion, a raised
+        :class:`FleetError`, the consumer closing the iterator — every
+        open exchange is closed and its reader stops at its next read.
+        """
+        jobs = dict(indexed)
+        results: Dict[int, JobResult] = {}
+        for index in sorted(screened):
+            results[index] = screened[index]
+            yield ("result", index, screened[index])
+
+        events: "queue_module.Queue" = queue_module.Queue()
+        live: set = set()
+
+        def launch(worker: str, group: List[_Shard],
+                   delay: float = 0.0) -> None:
+            current = _Exchange(worker, group)
+            reports[worker].dispatched += len(group)
+            live.add(current)
+            threading.Thread(
+                target=self._read,
+                args=(current, exchange, events, delay),
+                name=f"fleet-stream-{worker}", daemon=True).start()
+
+        try:
+            for worker, group in _by_worker(shards).items():
+                launch(worker, group)
+            while live:
+                kind, current, body = events.get()
+                if kind != "answer":
+                    live.discard(current)
+                    if kind == "error":
+                        ring = self._recover(current, body, ring,
+                                             reports, stats, launch)
+                    continue
+                shard, answer = body
+                if shard is None:
+                    self._absorb_engine(stats.engine, answer)
+                    continue
+                if shard.result is not None:
+                    continue
+                shard.result = answer
+                reports[current.worker].completed += 1
+                # Relabel with the coordinator's display labels;
+                # signatures are untouched.
+                first, *rest = shard.indices
+                job = jobs[first]
+                results[first] = replace(
+                    answer, job_id=job.job_id, scenario=job.scenario,
+                    family=job.family, variant=job.variant)
+                for index in rest:
+                    results[index] = answer.relabel(jobs[index])
+                for index in shard.indices:
+                    yield ("result", index, results[index])
+        finally:
+            for current in live:
+                current.closed.set()
+        yield ("summary", self._outcome(indexed, results, reports,
+                                        stats, started))
+
+    def _read(self, current: _Exchange, exchange: ExchangeBody,
+              events: "queue_module.Queue", delay: float) -> None:
+        """Reader thread: relay one exchange's answers, then a final
+        ``done`` or ``error`` event."""
+        try:
+            if delay:
+                self._sleep(delay)
+            if not current.closed.is_set():
+                with closing(exchange(current.worker,
+                                      current.shards)) as answers:
+                    for answer in answers:
+                        if current.closed.is_set():
+                            break
+                        events.put(("answer", current, answer))
+            events.put(("done", current, None))
+        except Exception as error:  # noqa: BLE001 — relayed
+            events.put(("error", current, error))
+
+    def _recover(self, current: _Exchange, error: Exception,
+                 ring: HashRing, reports: Dict[str, WorkerReport],
+                 stats: FleetStats, launch) -> HashRing:
+        """Retry or rebalance a failed exchange's unanswered shards."""
+        worker = current.worker
+        if isinstance(error, FleetError):
+            raise error
+        if not isinstance(error, TransportError):
+            raise FleetError(
+                f"shards failed on worker {worker}: {error}") from error
+        reports[worker].failures += 1
+        unanswered = [shard for shard in current.shards
+                      if shard.result is None]
+        if not unanswered:
+            return ring
+        for shard in unanswered:
+            shard.attempts += 1
+            if shard.attempts >= self.max_attempts:
+                raise FleetError(
+                    f"shard {shard.key[:12]} failed {shard.attempts} "
+                    f"dispatch attempts (last worker: {worker})")
+        if not reports[worker].lost and self._alive(worker):
+            # Transient: the worker answers health probes, so keep the
+            # placement (its caches already hold these models) and
+            # retry after the backoff.
+            attempts = max(shard.attempts for shard in unanswered)
+            stats.retries += len(unanswered)
+            launch(worker, unanswered, delay=min(
+                self.backoff_cap,
+                self.backoff_base * 2 ** (attempts - 1)))
+            return ring
+        reports[worker].lost = True
+        ring = ring.without(worker)
+        if not len(ring):
+            raise FleetError(
+                f"worker {worker} lost and no live workers remain")
+        for shard in unanswered:
+            shard.worker = ring.assign(shard.model_fp)
+        stats.rebalances += len(unanswered)
+        for survivor, group in _by_worker(unanswered).items():
+            launch(survivor, group)
+        return ring
+
+    # -- exchanges ---------------------------------------------------------
+
+    def _sweep_exchange(self, request: SweepRequest, worker: str,
+                        shards: List[_Shard]
+                        ) -> Iterator[Tuple[Optional[_Shard], object]]:
+        """One streamed ``SweepRequest`` naming a representative index
+        per shard; coordinator-side lint and screen already ran."""
+        by_index = {shard.indices[0]: shard for shard in shards}
+        payload = replace(request, indices=tuple(by_index),
+                          screen=False, strict_lint=False).to_dict()
+        with closing(self.transport.stream(
+                worker, "/v1/sweep", payload,
+                timeout=self.timeout)) as lines:
+            for line in lines:
+                if "summary" not in line:
+                    yield (by_index[line["index"]],
+                           result_from_dict(line["result"]))
+                elif line["summary"].get("stats"):
+                    yield None, stats_from_dict(line["summary"]["stats"])
+
+    def _analyze_exchange(self, worker: str, shards: List[_Shard]
+                          ) -> Iterator[Tuple[Optional[_Shard], object]]:
+        """Upload each of the shards' models once, then one
+        synchronous ``POST /v1/analyze`` per shard."""
+        models = {shard.model_fp: shard.system for shard in shards}
+        for model_fp, system in models.items():
+            reply = self.transport.request(
+                worker, "POST", "/v1/models", {"text": to_dsl(system)},
+                timeout=self.timeout)
+            if reply.get("model_hash") != model_fp:
+                raise FleetError(
+                    f"worker {worker} hashed the model to "
+                    f"{reply.get('model_hash')!r}, expected "
+                    f"{model_fp!r} — version skew between "
+                    "coordinator and worker")
+        for shard in shards:
+            response = AnalysisResponse.from_dict(self.transport.request(
+                worker, "POST", "/v1/analyze", shard.request_payload,
+                timeout=self.timeout))
+            if len(response.results) != 1:
+                raise FleetError(
+                    f"worker {worker} answered {len(response.results)} "
+                    "results for a single-job shard")
+            yield shard, response.results[0]
+            yield None, response.stats
 
     # -- phases ------------------------------------------------------------
 
@@ -562,7 +654,7 @@ class FleetDispatcher:
                     f"model {job.system.name!r} refused by strict "
                     f"lint: {summary}{more}", diagnostics=diagnostics)
 
-    def _screen(self, jobs: Sequence[AnalysisJob],
+    def _screen(self, indexed: Sequence[Tuple[int, AnalysisJob]],
                 stats: FleetStats) -> Dict[int, JobResult]:
         """Taint pre-screen every screenable job coordinator-side.
 
@@ -577,9 +669,7 @@ class FleetDispatcher:
         analyzer_keys: Dict[str, tuple] = {}
         certificates: Dict[tuple, object] = {}
         model_fps: Dict[int, str] = {}
-        for index, job in enumerate(jobs):
-            if not job.job_id:
-                job.job_id = f"job-{index:04d}"
+        for index, job in indexed:
             if not get_kind(job.kind).screenable or \
                     job.options is not None:
                 continue
@@ -633,21 +723,18 @@ class FleetDispatcher:
             stats.engine.screened += 1
         return screened
 
-    def _prepare(self, jobs: Sequence[AnalysisJob],
+    def _prepare(self, indexed: Sequence[Tuple[int, AnalysisJob]],
                  stats: FleetStats, skip=()) -> List[_Shard]:
         """Jobs to deduplicated, content-addressed shards.
 
-        The shard key is the stable hash of the canonical wire request
-        — the same identity a worker derives for its async job id, so
-        coordinator-side dedup and worker-side coalescing agree by
-        construction.
+        The shard key is the stable hash of the canonical wire
+        request, so two jobs asking the same question share one shard
+        and one worker answer.
         """
         shards: Dict[str, _Shard] = {}
         model_fps: Dict[int, str] = {}
         skip = frozenset(skip)
-        for index, job in enumerate(jobs):
-            if not job.job_id:
-                job.job_id = f"job-{index:04d}"
+        for index, job in indexed:
             if index in skip:
                 continue
             if job.options is not None:
@@ -674,101 +761,10 @@ class FleetDispatcher:
                                  index)
         return list(shards.values())
 
-    def _drive(self, shards: List[_Shard], ring: HashRing,
-               reports: Dict[str, WorkerReport],
-               stats: FleetStats) -> HashRing:
-        """The dispatch/poll loop, until every shard holds a result."""
-        uploaded: set = set()
-        dsl_texts: Dict[str, str] = {}
-        while True:
-            open_shards = [shard for shard in shards
-                           if shard.result is None]
-            if not open_shards:
-                return ring
-            now = self._clock()
-            for shard in open_shards:
-                try:
-                    if shard.job_id is None:
-                        if now >= shard.not_before:
-                            self._dispatch(shard, uploaded, dsl_texts,
-                                           reports)
-                    else:
-                        self._poll(shard, reports, stats)
-                except TransportError:
-                    ring = self._shard_failure(shard, shards, ring,
-                                               reports, stats)
-            if any(shard.result is None for shard in shards):
-                self._sleep(self.poll_interval)
-
-    def _dispatch(self, shard: _Shard, uploaded: set,
-                  dsl_texts: Dict[str, str],
-                  reports: Dict[str, WorkerReport]) -> None:
-        """Upload the shard's model (once per worker) and submit it."""
-        worker = shard.worker
-        if (worker, shard.model_fp) not in uploaded:
-            text = dsl_texts.get(shard.model_fp)
-            if text is None:
-                text = to_dsl(shard.system)
-                dsl_texts[shard.model_fp] = text
-            reply = self.transport.request(
-                worker, "POST", "/v1/models", {"text": text},
-                timeout=self.timeout)
-            if reply.get("model_hash") != shard.model_fp:
-                raise FleetError(
-                    f"worker {worker} hashed the model to "
-                    f"{reply.get('model_hash')!r}, expected "
-                    f"{shard.model_fp!r} — version skew between "
-                    "coordinator and worker")
-            uploaded.add((worker, shard.model_fp))
-        reply = self.transport.request(
-            worker, "POST", "/v1/jobs",
-            {"op": "analyze", "request": shard.request_payload},
-            timeout=self.timeout)
-        shard.job_id = reply["job_id"]
-        shard.deadline = self._clock() + self.timeout
-        reports[worker].dispatched += 1
-
-    def _poll(self, shard: _Shard, reports: Dict[str, WorkerReport],
-              stats: FleetStats) -> None:
-        """One status check of an in-flight shard."""
-        worker = shard.worker
-        try:
-            status = self.transport.request(
-                worker, "GET", f"/v1/jobs/{shard.job_id}",
-                timeout=self.probe_timeout)
-        except WireError as error:
-            if error.code == "not_found":
-                # The worker's bounded job table evicted the record;
-                # identical resubmission is cheap (its result cache
-                # still holds the work).
-                shard.job_id = None
-                return
-            raise
-        if status["status"] == "error":
-            detail = status.get("error") or {}
-            raise FleetError(
-                f"shard {shard.key[:12]} failed on worker {worker}: "
-                f"{detail.get('code', 'error')}: "
-                f"{detail.get('message', '')}")
-        if status["status"] != "done":
-            if self._clock() > shard.deadline:
-                raise TransportError(
-                    worker, f"shard {shard.key[:12]} exceeded its "
-                    f"{self.timeout}s budget")
-            return
-        response = AnalysisResponse.from_dict(status["result"])
-        if len(response.results) != 1:
-            raise FleetError(
-                f"worker {worker} answered {len(response.results)} "
-                "results for a single-job shard")
-        shard.result = response.results[0]
-        reports[worker].completed += 1
-        self._absorb_stats(stats.engine, response)
-
     @staticmethod
     def _absorb_engine(merged: EngineStats,
                        worker_stats: EngineStats) -> None:
-        """Fold one worker's sweep-summary stats into the fleet's."""
+        """Fold one worker's engine stats into the fleet's."""
         merged.result_hits += worker_stats.result_hits
         merged.executed += worker_stats.executed
         merged.lts_generations += worker_stats.lts_generations
@@ -780,60 +776,6 @@ class FleetDispatcher:
         for kind, count in worker_stats.screened_by_kind.items():
             merged.screened_by_kind[kind] = \
                 merged.screened_by_kind.get(kind, 0) + count
-
-    @staticmethod
-    def _absorb_stats(merged: EngineStats,
-                      response: AnalysisResponse) -> None:
-        worker_stats = response.stats
-        merged.result_hits += worker_stats.result_hits
-        merged.executed += worker_stats.executed
-        merged.lts_generations += worker_stats.lts_generations
-        merged.lts_reuses += worker_stats.lts_reuses
-        merged.screened += worker_stats.screened
-        merged.screen_flagged += worker_stats.screen_flagged
-        merged.linted += worker_stats.linted
-        merged.lint_reuses += worker_stats.lint_reuses
-        for kind, count in worker_stats.screened_by_kind.items():
-            merged.screened_by_kind[kind] = \
-                merged.screened_by_kind.get(kind, 0) + count
-
-    def _shard_failure(self, shard: _Shard, shards: List[_Shard],
-                       ring: HashRing,
-                       reports: Dict[str, WorkerReport],
-                       stats: FleetStats) -> HashRing:
-        """Decide retry vs. rebalance after a failed interaction."""
-        worker = shard.worker
-        reports[worker].failures += 1
-        shard.attempts += 1
-        shard.job_id = None
-        if shard.attempts >= self.max_attempts:
-            raise FleetError(
-                f"shard {shard.key[:12]} failed {shard.attempts} "
-                f"dispatch attempts (last worker: {worker})")
-        shard.not_before = self._clock() + min(
-            self.backoff_cap,
-            self.backoff_base * 2 ** (shard.attempts - 1))
-        if self._alive(worker):
-            # Transient: the worker answers health probes, so keep the
-            # placement (its caches already hold this shard's model)
-            # and retry after the backoff.
-            stats.retries += 1
-            return ring
-        reports[worker].lost = True
-        ring = ring.without(worker)
-        if not len(ring):
-            raise FleetError(
-                f"worker {worker} lost and no live workers remain")
-        # Rebalance everything the dead worker held — not just the
-        # shard whose failure exposed it.
-        moved = 0
-        for other in shards:
-            if other.result is None and other.worker == worker:
-                other.worker = ring.assign(other.model_fp)
-                other.job_id = None
-                moved += 1
-        stats.rebalances += moved
-        return ring
 
     def _alive(self, worker: str) -> bool:
         try:
@@ -843,31 +785,31 @@ class FleetDispatcher:
             return False
         return True
 
-    def _merge(self, jobs: Sequence[AnalysisJob],
-               shards: List[_Shard],
-               stats: FleetStats,
-               screened: Optional[Dict[int, JobResult]] = None
-               ) -> List[JobResult]:
-        """Fan shard results back out to job order, relabelled with
-        the coordinator's display labels (signatures untouched)."""
-        results: List[Optional[JobResult]] = [None] * len(jobs)
-        for index, result in (screened or {}).items():
-            results[index] = result
-        for shard in shards:
-            first, *rest = shard.indices
-            job = jobs[first]
-            assert shard.result is not None
-            results[first] = replace(
-                shard.result, job_id=job.job_id,
-                scenario=job.scenario, family=job.family,
-                variant=job.variant)
-            for index in rest:
-                results[index] = shard.result.relabel(jobs[index])
+    def _outcome(self, indexed: List[Tuple[int, AnalysisJob]],
+                 results: Dict[int, JobResult],
+                 reports: Dict[str, WorkerReport], stats: FleetStats,
+                 started: float) -> FleetOutcome:
+        """Job-ordered results plus the merged accounting; an
+        unanswered index fails the run."""
+        missing = [index for index, _ in indexed
+                   if index not in results]
+        if missing:
+            raise FleetError(
+                f"fleet run finished with {len(missing)} unanswered "
+                f"job(s), first {missing[:5]}")
+        stats.wall_time = self._clock() - started
         merged = stats.engine
         merged.backend = "fleet"
-        merged.jobs = len(jobs)
+        merged.jobs = len(indexed)
         merged.deduplicated = stats.deduplicated
-        for job in jobs:
+        merged.wall_time = stats.wall_time
+        for _, job in indexed:
             merged.by_kind[job.kind] = \
                 merged.by_kind.get(job.kind, 0) + 1
-        return [result for result in results if result is not None]
+        stats.workers = tuple(reports[worker]
+                              for worker in self.workers)
+        stats.lost_workers = tuple(
+            report.worker for report in stats.workers if report.lost)
+        return FleetOutcome(
+            results=tuple(results[index] for index, _ in indexed),
+            stats=stats)

@@ -24,8 +24,7 @@ built on:
   or rebalances the shard.
 - :class:`WireError` — the worker answered with a structured error
   payload (HTTP status >= 400). The request itself is at fault; not
-  retryable (except a poll hitting ``not_found`` after job-table
-  eviction, which the dispatcher re-dispatches).
+  retryable.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -85,13 +85,15 @@ class Transport:
 
         The exchange targets the service's streaming routes
         (``POST /v1/sweep?stream=1``): each yielded dict is one
-        result line, the last one the summary. A pre-commit refusal
+        result line, the last one the summary; a stream that ends
+        before its summary is a lost connection. A pre-commit refusal
         (the worker answered an error status before streaming) and a
         mid-stream error line both raise :class:`WireError`; a
-        connection lost mid-stream raises :class:`TransportError`.
-        Streaming trades the dispatcher's retry window for latency —
-        results already consumed cannot be un-consumed, so callers
-        treat mid-stream faults as sweep-fatal.
+        connection lost mid-stream raises :class:`TransportError`,
+        which the dispatcher recovers like any other transport fault:
+        lines already consumed stand, and only the indices the stream
+        had not answered are retried or rebalanced. Every read is
+        bounded by ``timeout``.
         """
         raise NotImplementedError
 
@@ -138,6 +140,11 @@ class HttpTransport(Transport):
     def stream(self, worker: str, path: str,
                payload: Optional[dict] = None,
                timeout: float = 30.0) -> Iterator[dict]:
+        """``POST <path>?stream=1``; the socket timeout bounds the
+        connect and every line read. A broken or stalled stream
+        raises :class:`TransportError` — recoverable per index, not
+        fatal to the sweep — and closing the iterator mid-stream
+        closes the connection."""
         sep = "&" if "?" in path else "?"
         http_request = urllib.request.Request(
             f"{self.scheme}://{worker}{path}{sep}stream=1",
@@ -163,6 +170,7 @@ class HttpTransport(Transport):
             # is one ndjson record.
             try:
                 with reply:
+                    line: dict = {}
                     for raw in reply:
                         raw = raw.strip()
                         if not raw:
@@ -179,6 +187,11 @@ class HttpTransport(Transport):
                             raise WireError(worker, 500,
                                             line["error"])
                         yield line
+                    if "summary" not in line:
+                        # http.client reads a connection dropped at a
+                        # chunk boundary as a clean end of stream.
+                        raise TransportError(
+                            worker, "stream ended before its summary")
             except (socket.timeout, ConnectionError,
                     http.client.HTTPException, OSError) as error:
                 raise TransportError(
@@ -199,12 +212,14 @@ class LoopbackTransport(Transport):
 
     Fault injection, per worker:
 
-    - :meth:`kill` — permanently unreachable (until :meth:`revive`);
+    - :meth:`kill` — permanently unreachable, from the next request
+      or streamed line (until :meth:`revive`);
     - :meth:`fail_next` — the next *n* requests raise
       :class:`TransportError`, then the worker recovers (a transient
       network drop);
-    - :meth:`fail_after` — healthy for *n* more requests, then
-      permanently dead (a worker lost mid-sweep);
+    - :meth:`fail_after` — healthy for *n* more requests or streamed
+      lines, then permanently dead (a worker lost mid-sweep, or
+      mid-stream);
     - :meth:`delay` — sleep before serving each request (a slow
       worker; pair with a small dispatcher timeout).
 
@@ -221,6 +236,8 @@ class LoopbackTransport(Transport):
         self._fail_after: Dict[str, int] = {}
         self._delay: Dict[str, float] = {}
         self._sleep: Callable[[float], None] = time.sleep
+        #: Reader threads and health probes share the fault counters.
+        self._lock = threading.Lock()
 
     # -- fault injection ---------------------------------------------------
 
@@ -240,37 +257,48 @@ class LoopbackTransport(Transport):
     def delay(self, worker: str, seconds: float) -> None:
         self._delay[worker] = seconds
 
-    # -- the exchange ------------------------------------------------------
+    def _check_alive(self, worker: str) -> None:
+        """Kill and :meth:`fail_after` faults, per request or line."""
+        if self._dead.get(worker):
+            raise TransportError(worker, "connection refused (killed)")
+        with self._lock:
+            remaining = self._fail_after.get(worker)
+            if remaining is not None:
+                if remaining <= 0:
+                    raise TransportError(
+                        worker, "connection refused (lost mid-sweep)")
+                self._fail_after[worker] = remaining - 1
 
-    def request(self, worker: str, method: str, path: str,
-                payload: Optional[dict] = None,
-                timeout: float = 30.0) -> dict:
-        self.calls.append((worker, method, path))
+    def _connect(self, worker: str, timeout: float):
+        """Every injected fault of one exchange's start; the worker's
+        service if it survives them."""
         service = self.workers.get(worker)
         if service is None:
             raise TransportError(worker, "unknown worker")
-        if self._dead.get(worker):
-            raise TransportError(worker, "connection refused (killed)")
-        remaining = self._fail_after.get(worker)
-        if remaining is not None:
-            if remaining <= 0:
-                raise TransportError(
-                    worker, "connection refused (lost mid-sweep)")
-            self._fail_after[worker] = remaining - 1
-        pending = self._fail_next.get(worker, 0)
-        if pending > 0:
-            self._fail_next[worker] = pending - 1
-            raise TransportError(worker, "transient network drop")
+        self._check_alive(worker)
+        with self._lock:
+            pending = self._fail_next.get(worker, 0)
+            if pending > 0:
+                self._fail_next[worker] = pending - 1
+                raise TransportError(worker, "transient network drop")
         lag = self._delay.get(worker, 0.0)
         if lag:
             self._sleep(lag)
             if lag > timeout:
                 # The caller's clock ran out first; behave like a
                 # socket timeout (the worker-side effect, if any,
-                # already happened — exactly the at-least-once window
-                # coalescing job ids exist for).
+                # already happened).
                 raise TransportError(
                     worker, f"timed out after {timeout}s")
+        return service
+
+    # -- the exchange ------------------------------------------------------
+
+    def request(self, worker: str, method: str, path: str,
+                payload: Optional[dict] = None,
+                timeout: float = 30.0) -> dict:
+        self.calls.append((worker, method, path))
+        service = self._connect(worker, timeout)
 
         from ..service.http import route_get, route_post
         from ..service.messages import ServiceError
@@ -304,31 +332,8 @@ class LoopbackTransport(Transport):
     def stream(self, worker: str, path: str,
                payload: Optional[dict] = None,
                timeout: float = 30.0) -> Iterator[dict]:
-        # Fault injection applies at connect time, like a socket:
-        # reuse the bookkeeping in :meth:`request` by inlining its
-        # preamble (the call is recorded with the stream marker).
         self.calls.append((worker, "POST", f"{path}?stream=1"))
-        service = self.workers.get(worker)
-        if service is None:
-            raise TransportError(worker, "unknown worker")
-        if self._dead.get(worker):
-            raise TransportError(worker, "connection refused (killed)")
-        remaining = self._fail_after.get(worker)
-        if remaining is not None:
-            if remaining <= 0:
-                raise TransportError(
-                    worker, "connection refused (lost mid-sweep)")
-            self._fail_after[worker] = remaining - 1
-        pending = self._fail_next.get(worker, 0)
-        if pending > 0:
-            self._fail_next[worker] = pending - 1
-            raise TransportError(worker, "transient network drop")
-        lag = self._delay.get(worker, 0.0)
-        if lag:
-            self._sleep(lag)
-            if lag > timeout:
-                raise TransportError(
-                    worker, f"timed out after {timeout}s")
+        service = self._connect(worker, timeout)
 
         from ..service.http import route_post_stream
         from ..service.messages import ServiceError
@@ -348,7 +353,11 @@ class LoopbackTransport(Transport):
         def relay() -> Iterator[dict]:
             try:
                 for line in lines:
+                    # Each line is a read: a worker can die mid-stream.
+                    self._check_alive(worker)
                     yield json.loads(json.dumps(line))
+            except TransportError:
+                raise
             except ServiceError as error:
                 raise WireError(worker, error.http_status,
                                 error.to_dict()["error"]) from error

@@ -7,6 +7,9 @@ single-node :class:`BatchEngine`.
 """
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -25,8 +28,9 @@ from repro.fleet import (
     LoopbackTransport,
     RemoteQueueBackend,
     TransportError,
+    WireError,
 )
-from repro.service import AnalysisService
+from repro.service import AnalysisService, SweepRequest
 
 
 def make_jobs(count=6, personas=2, seed=7, kinds=("disclosure",)):
@@ -54,9 +58,30 @@ def fleet(tmp_path):
         service.close()
 
 
+def job_owners(jobs, workers=("alpha", "beta", "gamma")):
+    """Jobs per worker under the dispatcher's deterministic ring."""
+    ring = HashRing(list(workers))
+    owners = {}
+    for job in jobs:
+        owner = ring.assign(model_fingerprint(job.system))
+        owners[owner] = owners.get(owner, 0) + 1
+    return owners
+
+
+def stream_readers():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("fleet-stream-")]
+
+
+def wait_for_readers(seconds):
+    deadline = time.monotonic() + seconds
+    while stream_readers() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return stream_readers()
+
+
 def make_dispatcher(transport, workers=("alpha", "beta", "gamma"),
                     **kwargs):
-    kwargs.setdefault("poll_interval", 0.0)
     kwargs.setdefault("backoff_base", 0.0)
     kwargs.setdefault("timeout", 30.0)
     return FleetDispatcher(list(workers), transport, **kwargs)
@@ -249,14 +274,14 @@ class TestFailureHandling:
     def test_transient_drop_retries_same_worker(self, fleet,
                                                 tmp_path):
         _, transport = fleet
-        # Fail exactly one job submission, leaving health probes (and
-        # every later exchange) intact — the shard must retry on the
+        # Fail exactly one analysis call, leaving health probes (and
+        # every later exchange) intact — the shards must retry on the
         # same worker, not rebalance.
         original = transport.request
         dropped = []
 
         def flaky(worker, method, path, payload=None, timeout=30.0):
-            if path == "/v1/jobs" and method == "POST" \
+            if path == "/v1/analyze" and method == "POST" \
                     and not dropped:
                 dropped.append(worker)
                 raise TransportError(worker, "transient drop")
@@ -331,7 +356,7 @@ class TestFailureHandling:
         original = transport.request
 
         def flaky(worker, method, path, payload=None, timeout=30.0):
-            if path in ("/v1/models", "/v1/jobs"):
+            if path in ("/v1/models", "/v1/analyze"):
                 raise TransportError(worker, "flaky dispatch")
             return original(worker, method, path, payload, timeout)
 
@@ -357,22 +382,157 @@ class TestFailureHandling:
         with pytest.raises(FleetError, match="generation options"):
             make_dispatcher(transport).run([wired])
 
-    def test_evicted_job_is_redispatched(self, fleet, tmp_path):
-        # A worker with a one-slot job table evicts finished records
-        # almost immediately; the dispatcher's not_found handling must
-        # resubmit (cheap — the worker's result cache is warm) rather
-        # than fail the shard.
-        service = AnalysisService(backend="serial",
-                                  cache_dir=str(tmp_path / "tiny"),
-                                  max_jobs=1)
-        transport = LoopbackTransport({"tiny": service})
+
+class TestSweepStream:
+    """The one dispatch path under worker faults: every streamed sweep
+    equals the single-node run or raises a typed error, and no reader
+    thread outlives it."""
+
+    REQUEST = SweepRequest(count=6, seed=7, personas=2,
+                           kinds=("disclosure",))
+
+    def test_stream_matches_single_node(self, fleet, tmp_path):
+        _, transport = fleet
+        *results, (kind, outcome) = \
+            make_dispatcher(transport).sweep_stream(self.REQUEST)
+        assert kind == "summary"
+        assert sorted(index for _, index, _ in results) == \
+            list(range(12))
+        assert list(outcome.signatures()) == \
+            single_node_signatures(tmp_path)
+        assert not any(path == "/v1/models"
+                       for _, _, path in transport.calls)
+
+    def test_worker_lost_mid_stream_rebalances(self, fleet, tmp_path):
+        _, transport = fleet
+        owners = job_owners(make_jobs())
+        victim = max(sorted(owners), key=owners.get)
+        assert owners[victim] >= 2
+        # The probe, the stream connect and one result line pass;
+        # the next line finds the worker dead for good.
+        transport.fail_after(victim, 3)
+        *results, (_, outcome) = \
+            make_dispatcher(transport).sweep_stream(self.REQUEST)
+        indices = [index for _, index, _ in results]
+        assert sorted(indices) == list(range(12))
+        assert victim in outcome.stats.lost_workers
+        assert outcome.stats.rebalances >= 1
+        lost = next(report for report in outcome.stats.workers
+                    if report.worker == victim)
+        assert lost.completed >= 1
+        assert list(outcome.signatures()) == \
+            single_node_signatures(tmp_path)
+
+    def test_worker_lost_at_stream_connect_recovers(self, fleet,
+                                                    tmp_path):
+        _, transport = fleet
+        owners = job_owners(make_jobs())
+        victim = sorted(owners)[0]
+        transport.fail_after(victim, 1)
+        *_, (_, outcome) = \
+            make_dispatcher(transport).sweep_stream(self.REQUEST)
+        assert victim in outcome.stats.lost_workers
+        assert outcome.stats.rebalances == owners[victim]
+        assert list(outcome.signatures()) == \
+            single_node_signatures(tmp_path)
+
+    def test_transient_stream_drop_retries_same_worker(self, fleet,
+                                                       tmp_path):
+        _, transport = fleet
+        original = transport.stream
+        dropped = []
+
+        def flaky(worker, path, payload=None, timeout=30.0):
+            if not dropped:
+                dropped.append(worker)
+                raise TransportError(worker, "transient drop")
+            return original(worker, path, payload, timeout)
+
+        transport.stream = flaky
+        outcome = make_dispatcher(transport).sweep(self.REQUEST)
+        assert dropped
+        assert outcome.stats.retries >= 1
+        assert outcome.stats.rebalances == 0
+        assert outcome.stats.lost_workers == ()
+        assert list(outcome.signatures()) == \
+            single_node_signatures(tmp_path)
+
+    def test_many_readers_yield_each_index_once(self, tmp_path):
+        # More reader threads than cores, a tiny switch interval and a
+        # worker lost mid-stream: the answers still merge exactly once.
+        workers = tuple(f"w{number}" for number in range(6))
+        services = {name: AnalysisService(
+            backend="serial", cache_dir=str(tmp_path / name))
+            for name in workers}
+        transport = LoopbackTransport(services)
+        owners = job_owners(make_jobs(), workers)
+        transport.fail_after(max(sorted(owners), key=owners.get), 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            outcome = make_dispatcher(
-                transport, workers=("tiny",)).run(make_jobs())
-            assert list(outcome.signatures()) == \
-                single_node_signatures(tmp_path)
+            *results, (_, outcome) = make_dispatcher(
+                transport, workers=workers).sweep_stream(self.REQUEST)
         finally:
-            service.close()
+            sys.setswitchinterval(interval)
+            for service in services.values():
+                service.close()
+        assert sorted(index for _, index, _ in results) == \
+            list(range(12))
+        assert sum(report.completed for report
+                   in outcome.stats.workers) == outcome.stats.shards
+        assert list(outcome.signatures()) == \
+            single_node_signatures(tmp_path)
+
+    def test_indices_screen_only_the_selection(self, fleet):
+        from repro.engine import kind_names
+        _, transport = fleet
+        request = SweepRequest(count=10, personas=2,
+                               kinds=tuple(kind_names()), screen=True,
+                               seed=3, indices=(0, 1, 2))
+        *_, (_, outcome) = \
+            make_dispatcher(transport).sweep_stream(request)
+        engine = outcome.stats.engine
+        assert outcome.stats.jobs == 3
+        assert [result.job_id for result in outcome.results] == \
+            ["job-0000", "job-0001", "job-0002"]
+        assert engine.screened + engine.screen_flagged <= 3
+
+    @staticmethod
+    def slow_streams(transport, refuse, seconds_per_line):
+        """Streams that refuse on ``refuse`` and crawl elsewhere."""
+        original = transport.stream
+
+        def stream(worker, path, payload=None, timeout=30.0):
+            if worker == refuse:
+                raise WireError(worker, 400, {
+                    "code": "invalid_request", "message": "refused"})
+
+            def lines():
+                for line in original(worker, path, payload, timeout):
+                    time.sleep(seconds_per_line)
+                    yield line
+
+            return lines()
+
+        transport.stream = stream
+
+    def test_no_reader_outlives_a_failed_sweep(self, fleet):
+        _, transport = fleet
+        refuse = sorted(job_owners(make_jobs()))[0]
+        self.slow_streams(transport, refuse, seconds_per_line=0.3)
+        dispatcher = make_dispatcher(transport, timeout=0.5)
+        with pytest.raises(FleetError, match="failed on worker"):
+            list(dispatcher.sweep_stream(self.REQUEST))
+        assert wait_for_readers(dispatcher.timeout) == []
+
+    def test_closing_the_stream_closes_every_exchange(self, fleet):
+        _, transport = fleet
+        self.slow_streams(transport, None, seconds_per_line=0.3)
+        dispatcher = make_dispatcher(transport, timeout=0.5)
+        events = dispatcher.sweep_stream(self.REQUEST)
+        assert next(events)[0] == "result"
+        events.close()
+        assert wait_for_readers(dispatcher.timeout) == []
 
 
 class TestRemoteQueueBackend:
@@ -409,7 +569,7 @@ class TestRemoteQueueBackend:
                              cache_dir=str(tmp_path / "coord"))
         batch = engine.run(make_jobs(count=1, personas=1))
         assert batch.stats.executed == 1
-        assert any(path == "/v1/jobs" for _, _, path
+        assert any(path == "/v1/analyze" for _, _, path
                    in transport.calls)
 
     def test_fingerprint_skew_is_detected(self, fleet, tmp_path):
@@ -426,7 +586,7 @@ class TestRemoteQueueBackend:
                 return replace(outcome, results=poisoned)
 
         backend = RemoteQueueBackend(SkewedDispatcher(
-            ["alpha"], transport, poll_interval=0.0))
+            ["alpha"], transport))
         engine = BatchEngine(backend=backend,
                              cache_dir=str(tmp_path / "coord"))
         with pytest.raises(FleetError, match="version skew"):
