@@ -1,15 +1,13 @@
-"""HTTP service front-ends — requests/sec, cold vs. cache-hit,
+"""The HTTP service front-end — requests/sec, cold vs. cache-hit,
 sequential vs. 100+ concurrent clients.
 
-Not a paper table: this bench smoke-tests the service layer. Two
-front-ends are driven over real sockets:
+Not a paper table: this bench smoke-tests the service layer, driving
+the asyncio server (what ``repro serve`` runs) over real sockets:
 
-- the **threaded** server (PR-3's ``ThreadingHTTPServer``): a cold
-  pass of distinct users, a warm cache-hit replay, and a small
-  concurrent pass — the historical baseline (~780 req/s at 4
-  clients);
-- the **asyncio** server (the ``repro serve`` default): the same
-  cold/warm discipline, then a ``--clients`` (default 100)
+- a cold pass of distinct users, a warm cache-hit replay and a
+  wire-vs-in-process agreement check, each from a plain ``urllib``
+  client against :class:`AsyncServerThread`;
+- the same cold/warm discipline, then a ``--clients`` (default 100)
   concurrent pass. Bench clients are coroutines with keep-alive
   connections inside the *same* event loop as the server — on the
   single-core CI machine, thread-based clients would spend the
@@ -18,9 +16,9 @@ front-ends are driven over real sockets:
 The smoke bars are correctness-shaped plus one honest throughput
 floor: warm responses must be cache hits with signatures
 byte-identical to the cold pass, concurrent responses must match the
-sequential stream positionally, and the asyncio concurrent pass must
-clear ``BENCH_SERVICE_MIN_RPS`` (default 1600 — 2x the threaded
-4-client baseline; export a lower bar on noisy machines). A separate
+sequential stream positionally, and the concurrent pass must clear
+``BENCH_SERVICE_MIN_RPS`` (default 1600; export a lower bar on noisy
+machines). A separate
 pass pins load shedding: one executor slot, no queue, concurrent
 clients — some requests *must* come back as typed 429s, and the
 health endpoint must account for every one of them.
@@ -38,7 +36,6 @@ import asyncio
 import json
 import os
 import sys
-import threading
 import time
 import urllib.request
 
@@ -50,10 +47,10 @@ from repro.service import (
     AnalysisRequest,
     AnalysisResponse,
     AnalysisService,
+    AsyncServerThread,
     AsyncServiceServer,
     ModelRef,
     UserSpec,
-    make_server,
 )
 
 REQUESTS = 20
@@ -81,16 +78,12 @@ def analyze_payload(model_hash: str, index: int) -> dict:
 
 
 class ServiceFixture:
-    """A live threaded server plus the facade behind it."""
+    """A live server plus the facade behind it."""
 
     def __init__(self):
         self.service = AnalysisService(backend="thread")
-        self.server = make_server(self.service, port=0)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        host, port = self.server.server_address[:2]
-        self.base = f"http://{host}:{port}"
+        self.front = AsyncServerThread(self.service).start()
+        self.base = self.front.base
         self.model_hash = self.call("/v1/models", {
             "text": to_dsl(build_surgery_system())})["model_hash"]
 
@@ -114,43 +107,9 @@ class ServiceFixture:
                      for index in range(count)]
         return time.perf_counter() - started, responses
 
-    def run_concurrent(self, count: int, clients: int):
-        """(seconds, responses, latencies) for ``count`` requests
-        issued by ``clients`` concurrent threads.
-
-        Responses and per-request latencies are indexed by request
-        number regardless of which client carried them, so the result
-        stream compares positionally against a sequential pass."""
-        responses = [None] * count
-        latencies = [0.0] * count
-        indices = iter(range(count))
-        lock = threading.Lock()
-
-        def client():
-            while True:
-                with lock:
-                    index = next(indices, None)
-                if index is None:
-                    return
-                begun = time.perf_counter()
-                responses[index] = self.call(
-                    "/v1/analyze", self.analyze_payload(index))
-                latencies[index] = time.perf_counter() - begun
-
-        threads = [threading.Thread(target=client)
-                   for _ in range(clients)]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - started, responses, latencies
-
     def close(self):
-        self.server.shutdown()
-        self.server.server_close()
+        self.front.stop()
         self.service.close()
-        self.thread.join(timeout=5)
 
 
 # -- asyncio front-end bench ---------------------------------------------------
@@ -373,19 +332,6 @@ def test_warm_replay_hits_the_cache(fixture):
     assert fixture.service.engine.result_cache.stats.hits >= REQUESTS
 
 
-def test_concurrent_clients_match_sequential(fixture):
-    """N concurrent clients produce positionally identical
-    signatures to a sequential stream — the threaded server's shared
-    caches are safe under real socket concurrency."""
-    _, sequential = fixture.run_pass(REQUESTS)
-    _, concurrent, latencies = fixture.run_concurrent(REQUESTS,
-                                                      clients=4)
-    assert _signatures(sequential) == _signatures(concurrent)
-    assert len(latencies) == REQUESTS
-    assert all(latency > 0 for latency in latencies)
-    assert _percentile(latencies, 0.95) >= _percentile(latencies, 0.5)
-
-
 def test_wire_agrees_with_inprocess_facade(fixture):
     payload = fixture.analyze_payload(0)
     wire = AnalysisResponse.from_dict(
@@ -417,9 +363,9 @@ def test_async_shedding_answers_typed_429():
 
 
 def _quick_smoke(clients: int = 100) -> int:
-    """Standalone CI smoke: threaded cold/warm/concurrent passes,
-    the asyncio ``clients``-way concurrent pass with its throughput
-    floor, and the shed-accounting pass; emit BENCH_service.json."""
+    """Standalone CI smoke: cold/warm/wire-agreement passes, the
+    ``clients``-way concurrent pass with its throughput floor, and
+    the shed-accounting pass; emit BENCH_service.json."""
     fixture = ServiceFixture()
     failures = []
     try:
@@ -427,9 +373,9 @@ def _quick_smoke(clients: int = 100) -> int:
         warm_seconds, warm = fixture.run_pass(REQUESTS)
         cold_rps = REQUESTS / max(cold_seconds, 1e-9)
         warm_rps = REQUESTS / max(warm_seconds, 1e-9)
-        print(f"threaded cold: {REQUESTS} requests in "
+        print(f"cold: {REQUESTS} requests in "
               f"{cold_seconds:.2f}s ({cold_rps:.1f} req/s)")
-        print(f"threaded warm: {REQUESTS} requests in "
+        print(f"warm: {REQUESTS} requests in "
               f"{warm_seconds:.2f}s ({warm_rps:.1f} req/s, "
               f"{warm_rps / max(cold_rps, 1e-9):.1f}x)")
 
@@ -440,17 +386,6 @@ def _quick_smoke(clients: int = 100) -> int:
                    for r in response["results"]):
             failures.append("warm replay missed the result cache")
 
-        loaded_seconds, loaded, latencies = fixture.run_concurrent(
-            REQUESTS, clients=4)
-        loaded_rps = REQUESTS / max(loaded_seconds, 1e-9)
-        print(f"threaded load: {REQUESTS} requests x 4 clients in "
-              f"{loaded_seconds:.2f}s ({loaded_rps:.1f} req/s, "
-              f"p50 {_percentile(latencies, 0.5) * 1000:.1f}ms, "
-              f"p95 {_percentile(latencies, 0.95) * 1000:.1f}ms)")
-        if _signatures(cold) != _signatures(loaded):
-            failures.append(
-                "concurrent clients changed result signatures")
-
         payload = fixture.analyze_payload(0)
         wire = AnalysisResponse.from_dict(
             fixture.call("/v1/analyze", payload))
@@ -460,13 +395,6 @@ def _quick_smoke(clients: int = 100) -> int:
         if wire.signatures() != local.signatures():
             failures.append("wire and in-process signatures disagree")
 
-        threaded_record = {
-            "clients": 4,
-            "seconds": round(loaded_seconds, 4),
-            "rps": round(loaded_rps, 1),
-            "p50_ms": round(_percentile(latencies, 0.5) * 1000, 2),
-            "p95_ms": round(_percentile(latencies, 0.95) * 1000, 2),
-        }
         result_hits = fixture.service.engine.result_cache.stats.hits
     finally:
         fixture.close()
@@ -537,7 +465,6 @@ def _quick_smoke(clients: int = 100) -> int:
         "warm": {"seconds": round(warm_seconds, 4),
                  "rps": round(warm_rps, 1)},
         "warm_speedup": round(warm_rps / max(cold_rps, 1e-9), 2),
-        "concurrent_threaded": threaded_record,
         "concurrent": {
             "frontend": "asyncio",
             "clients": clients,

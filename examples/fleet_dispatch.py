@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fleet dispatch: one sweep sharded across two worker nodes.
 
-Spins up two real ``repro serve`` workers in-process (threaded HTTP
+Spins up two real ``repro serve`` workers in-process (asyncio HTTP
 servers on ephemeral ports), dispatches a scenario sweep across them
 with the :class:`~repro.fleet.FleetDispatcher`, and shows the merged
 fleet report — then proves the headline invariant by running the same
@@ -11,20 +11,17 @@ Run with ``python examples/fleet_dispatch.py``.
 """
 
 import tempfile
-import threading
 
 from repro.engine import BatchEngine, ScenarioGenerator, scenario_jobs
 from repro.fleet import FleetDispatcher, HttpTransport
-from repro.service import AnalysisService, make_server
+from repro.service import AnalysisService, AsyncServerThread
 
 
 def start_worker(cache_dir):
     """One live worker; returns (service, server, 'host:port')."""
     service = AnalysisService(backend="thread", cache_dir=cache_dir)
-    server = make_server(service, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    return service, server, f"{host}:{port}"
+    server = AsyncServerThread(service).start()
+    return service, server, f"{server.host}:{server.port}"
 
 
 def make_jobs():
@@ -65,8 +62,7 @@ def main():
               f"{matches}")
 
         for service, server, _ in workers:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.close()
 
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The analysis service over HTTP: start it, drive it, shut it down.
 
-PR 1 made the method an engine; this example shows it as a *service*.
-An :class:`~repro.service.facade.AnalysisService` is wrapped in the
-asyncio front-end (the default body of ``repro serve``) and driven
-purely through ``urllib`` and ``http.client`` — the same requests any
-non-Python client would send:
+The engine makes the method scriptable; this example shows it as a
+*service*. An :class:`~repro.service.facade.AnalysisService` is
+wrapped in the asyncio front-end (the body of ``repro serve``) and
+driven purely through ``urllib`` and ``http.client`` — the same
+requests any non-Python client would send:
 
 1. upload the surgery model's DSL text, getting back its content hash;
 2. run a synchronous disclosure analysis for one patient;
@@ -19,8 +19,7 @@ The asyncio front-end takes the production knobs ``repro serve``
 exposes (all optional):
 
 - ``max_inflight`` — engine threads; concurrent requests beyond this
-  queue for a slot (the default front-end of ``repro serve
-  --max-inflight 8``);
+  queue for a slot (``repro serve --max-inflight 8``);
 - ``queue_limit`` — queued requests beyond which new work is *shed*
   with a typed 429 ``overloaded`` body instead of stalling everyone;
 - ``rate_limit``/``rate_burst`` — a global token bucket answering
@@ -28,14 +27,12 @@ exposes (all optional):
 - ``auth_token`` — require ``Authorization: Bearer <token>``,
   else 401 ``unauthorized`` (``--auth-token``);
 - ``request_timeout`` — per-request deadline answering a typed 408
-  ``deadline_exceeded`` (``--request-timeout``, both front-ends).
+  ``deadline_exceeded`` (``--request-timeout``).
 
 ``GET /v1/health`` bypasses auth and rate limiting, so fleet
 coordinators can always probe liveness; its ``load`` block carries
 ``queue_depth``/``shed_total``/``inflight_limit`` from the running
-front-end. The threaded server (``repro serve --threaded``) speaks a
-byte-identical wire contract — swap ``AsyncServerThread`` for
-``make_server`` and everything below still runs.
+front-end.
 
 Run with ``python examples/service_api.py``. In a second terminal the
 same server could be driven with ``curl`` — everything is plain JSON.

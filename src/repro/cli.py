@@ -35,10 +35,8 @@ Subcommands mirror the method's steps over a DSL model file:
 - ``repro engine cache stats|prune --cache-dir DIR`` — inspect and
   age/size-prune the on-disk store;
 - ``repro serve --port 8787 --cache-dir DIR`` — run the HTTP/JSON
-  analysis service on the asyncio front-end (streaming ndjson sweeps,
-  backpressure, rate limiting, request deadlines — see
-  :mod:`repro.service.aio`); ``--threaded`` selects the original
-  thread-per-connection front-end (:mod:`repro.service.http`);
+  analysis service (streaming ndjson sweeps, backpressure, rate
+  limiting, request deadlines — see :mod:`repro.service.aio`);
 - ``repro fleet sweep --workers host:port,host:port --count 50`` —
   shard a scenario sweep across running ``repro serve`` workers and
   merge the answers into one fleet report (see :mod:`repro.fleet`);
@@ -465,35 +463,23 @@ def _cmd_engine_cache(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Run the analysis service.
+    """Run the analysis service on the asyncio front-end.
 
-    Two front-ends over one routing table:
-
-    - the **asyncio** front-end (default): streaming ndjson sweeps
-      (``POST /v1/sweep?stream=1``), bounded-executor backpressure
-      (``--max-inflight`` engine slots plus ``--queue-limit`` waiting
-      requests; beyond that, typed 429 ``overloaded``), token-bucket
-      rate limiting (``--rate-limit`` req/s, 429 ``rate_limited``),
-      bearer-token auth (``--auth-token``, 401; ``/v1/health`` stays
-      open), per-request deadlines (``--request-timeout``, typed 408)
-      and client-disconnect cancellation;
-    - the **threaded** front-end (``--threaded``): the original
-      one-thread-per-connection server, kept for comparison and as
-      the conservative fallback. It honours ``--request-timeout``
-      too, but has no backpressure/rate/auth knobs.
-
-    Both print the actually-bound port on startup (``--port 0`` binds
-    an ephemeral one) and drain in-flight requests on
-    SIGINT/SIGTERM before closing the socket.
+    Streaming ndjson sweeps (``POST /v1/sweep?stream=1``),
+    bounded-executor backpressure (``--max-inflight`` engine slots
+    plus ``--queue-limit`` waiting requests; beyond that, typed 429
+    ``overloaded``), token-bucket rate limiting (``--rate-limit``
+    req/s, 429 ``rate_limited``), bearer-token auth
+    (``--auth-token``, 401; ``/v1/health`` stays open), per-request
+    deadlines (``--request-timeout``, typed 408) and client-disconnect
+    cancellation. The server prints the actually-bound port on startup
+    (``--port 0`` binds an ephemeral one) and drains in-flight
+    requests on SIGINT/SIGTERM before closing the socket.
     """
-    from .service import AnalysisService, serve, serve_async
+    from .service import AnalysisService, serve_async
     service = AnalysisService(backend=args.backend,
                               workers=args.workers,
                               cache_dir=args.cache_dir)
-    if args.threaded:
-        return serve(service, host=args.host, port=args.port,
-                     verbose=args.verbose,
-                     request_timeout=args.request_timeout)
     return serve_async(service, host=args.host, port=args.port,
                        verbose=args.verbose,
                        max_inflight=args.max_inflight,
@@ -811,34 +797,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory")
     serve.add_argument("--verbose", action="store_true",
                        help="log every request to stderr")
-    frontend = serve.add_mutually_exclusive_group()
-    frontend.add_argument("--async", dest="threaded",
-                          action="store_false",
-                          help="asyncio front-end with streaming, "
-                               "backpressure, rate limiting and "
-                               "cancellation (the default)")
-    frontend.add_argument("--threaded", dest="threaded",
-                          action="store_true",
-                          help="one-thread-per-connection front-end "
-                               "(no backpressure/rate/auth knobs)")
-    serve.set_defaults(threaded=False)
     serve.add_argument("--max-inflight", type=int, default=8,
-                       help="engine executor slots on the asyncio "
-                            "front-end (default 8)")
+                       help="engine executor slots (default 8)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="requests allowed to wait for a slot "
                             "before shedding with 429 (default 64)")
     serve.add_argument("--rate-limit", type=float, default=None,
                        help="token-bucket request rate in req/s "
-                            "(asyncio front-end; default unlimited)")
+                            "(default unlimited)")
     serve.add_argument("--auth-token", default=None,
                        help="require 'Authorization: Bearer TOKEN' "
-                            "on every route except /v1/health "
-                            "(asyncio front-end)")
+                            "on every route except /v1/health")
     serve.add_argument("--request-timeout", type=float, default=60.0,
-                       help="per-request deadline in seconds; "
+                       help="per-request deadline in seconds for "
+                            "reading and running a request; "
                             "exceeding it answers a typed 408 "
-                            "(both front-ends, default 60)")
+                            "(default 60)")
     serve.set_defaults(func=_cmd_serve)
 
     fleet = subparsers.add_parser(

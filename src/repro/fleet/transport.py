@@ -301,28 +301,24 @@ class LoopbackTransport(Transport):
         service = self._connect(worker, timeout)
 
         from ..service.http import route_get, route_post
-        from ..service.messages import ServiceError
+        from ..service.messages import error_reply
 
+        if method not in ("GET", "POST"):
+            raise TransportError(worker,
+                                 f"unsupported method {method!r}")
         # The wire discipline: only JSON-encodable payloads travel.
         payload = json.loads(json.dumps(payload)) \
             if payload is not None else {}
         try:
             if method == "GET":
                 status, body = route_get(service, path)
-            elif method == "POST":
-                status, body = route_post(service, path, payload)
             else:
-                raise TransportError(
-                    worker, f"unsupported method {method!r}")
-        except ServiceError as error:
-            raise WireError(worker, error.http_status,
-                            error.to_dict()["error"]) from error
+                status, body = route_post(service, path, payload)
         except ReproError as error:
-            # Mirror the HTTP front-end: engine-level input problems
-            # are a structured 400, not a transport fault.
-            raise WireError(worker, 400, {
-                "code": "analysis_error",
-                "message": str(error)}) from error
+            # Answer what the HTTP front-end would; anything that is
+            # not a ReproError is a bug and propagates.
+            status, body = error_reply(error)
+            raise WireError(worker, status, body["error"]) from error
         body = json.loads(json.dumps(body))
         if status >= 400:
             raise WireError(worker, status,
@@ -336,19 +332,15 @@ class LoopbackTransport(Transport):
         service = self._connect(worker, timeout)
 
         from ..service.http import route_post_stream
-        from ..service.messages import ServiceError
+        from ..service.messages import error_reply
 
         payload = json.loads(json.dumps(payload)) \
             if payload is not None else {}
         try:
             lines = route_post_stream(service, path, payload)
-        except ServiceError as error:
-            raise WireError(worker, error.http_status,
-                            error.to_dict()["error"]) from error
         except ReproError as error:
-            raise WireError(worker, 400, {
-                "code": "analysis_error",
-                "message": str(error)}) from error
+            status, body = error_reply(error)
+            raise WireError(worker, status, body["error"]) from error
 
         def relay() -> Iterator[dict]:
             try:
@@ -358,15 +350,12 @@ class LoopbackTransport(Transport):
                     yield json.loads(json.dumps(line))
             except TransportError:
                 raise
-            except ServiceError as error:
-                raise WireError(worker, error.http_status,
-                                error.to_dict()["error"]) from error
             except ReproError as error:
-                # Mid-stream engine fault: the HTTP front-ends send
-                # this as a final error line, which HttpTransport
-                # surfaces as a WireError — match that here.
-                raise WireError(worker, 500, {
-                    "code": "analysis_error",
-                    "message": str(error)}) from error
+                # Mid-stream the HTTP front-end sends a final error
+                # line, which HttpTransport surfaces as a 500
+                # WireError whatever the error — match that here.
+                raise WireError(worker, 500,
+                                error_reply(error)[1]["error"]) \
+                    from error
 
         return relay()

@@ -1,19 +1,18 @@
-"""Unified analysis service: one facade, one wire contract, two fronts.
+"""Unified analysis service: one facade, one wire contract, one server.
 
-The paper's method became an engine (PRs 1-2); this package makes it a
+The paper's method became an engine; this package makes it a
 *service*. :class:`~repro.service.facade.AnalysisService` owns the
 batch engine, its tiered caches, the analysis-kind registry, scenario
 generation and incremental re-analysis behind a typed
-request/response API (:mod:`~repro.service.messages`), and two
-front-ends expose that same API over HTTP/JSON through one shared
-routing table: the asyncio server (:mod:`~repro.service.aio`, the
-``repro serve`` default — streaming ndjson sweeps, backpressure with
-typed 429 shedding, request deadlines, disconnect cancellation,
-rate limiting and auth) and the threaded server
-(:mod:`~repro.service.http`, ``repro serve --threaded``). The CLI's
-``repro engine *`` subcommands are thin clients of the facade, so a
-request produces byte-identical result signatures whether it arrived
-from the command line, Python code or the network.
+request/response API (:mod:`~repro.service.messages`). The asyncio
+server (:mod:`~repro.service.aio`, what ``repro serve`` runs —
+streaming ndjson sweeps, backpressure with typed 429 shedding,
+request deadlines, disconnect cancellation, rate limiting and auth)
+exposes that API over HTTP/JSON through the routing table of
+:mod:`~repro.service.http`. The CLI's ``repro engine *`` subcommands
+are thin clients of the facade, so a request produces byte-identical
+result signatures whether it arrived from the command line, Python
+code or the network.
 
 Quickstart — in process::
 
@@ -32,14 +31,11 @@ Quickstart — in process::
 Quickstart — over HTTP (see ``examples/service_api.py`` for the full
 client-side walkthrough)::
 
-    from repro.service import AnalysisService, make_server
-    import threading
+    from repro.service import AnalysisService, AsyncServerThread
 
-    server = make_server(AnalysisService(), port=8787)
-    threading.Thread(target=server.serve_forever,
-                     daemon=True).start()
+    front = AsyncServerThread(AnalysisService(), port=8787).start()
     # POST /v1/models, /v1/analyze, /v1/jobs ... then:
-    server.shutdown()
+    front.stop()
 
 Async submissions (``service.submit("sweep", SweepRequest(count=50))``)
 return a job id — the stable hash of the canonical request, the same
@@ -56,12 +52,9 @@ from .aio import (
 )
 from .facade import OPS, AnalysisService
 from .http import (
-    ServiceHTTPRequestHandler,
-    make_server,
     route_get,
     route_post,
     route_post_stream,
-    serve,
     split_target,
 )
 from .messages import (
@@ -87,6 +80,7 @@ from .messages import (
     UserSpec,
     WorkerLoad,
     check_payload,
+    error_reply,
     population_breakdown,
     result_from_dict,
     result_to_dict,
@@ -99,14 +93,11 @@ __all__ = [
     "AnalysisService",
     "AsyncServerThread",
     "AsyncServiceServer",
-    "ServiceHTTPRequestHandler",
     "TokenBucket",
     "bearer_auth",
-    "make_server",
     "route_get",
     "route_post",
     "route_post_stream",
-    "serve",
     "serve_async",
     "split_target",
     "AnalysisRequest",
@@ -131,6 +122,7 @@ __all__ = [
     "UserSpec",
     "WorkerLoad",
     "check_payload",
+    "error_reply",
     "population_breakdown",
     "result_from_dict",
     "result_to_dict",

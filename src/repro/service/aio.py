@@ -1,11 +1,11 @@
-"""The asyncio HTTP front-end: the production face of the service.
+"""The asyncio HTTP front-end: the server ``repro serve`` runs.
 
-``repro serve`` defaults to this server (stdlib only — one event
-loop, ``asyncio.start_server``). It speaks the same wire contract as
-the threaded front-end through the *same* routing table
+Stdlib only — one event loop, ``asyncio.start_server`` — in front of
+the routing table of :mod:`repro.service.http`
 (:func:`~repro.service.http.route_get` / ``route_post`` /
-``route_post_stream``), so non-streaming responses are byte-identical
-— and adds the four production behaviours the threaded server lacks:
+``route_post_stream``), with every failure mapped onto its wire error
+by :func:`~repro.service.messages.error_reply`. Around the routing it
+adds:
 
 - **Backpressure.** Blocking engine work runs on a bounded executor
   (``max_inflight`` threads); up to ``queue_limit`` further requests
@@ -17,17 +17,25 @@ the threaded front-end through the *same* routing table
   line per job as it completes, then a ``{"summary": ...}`` line —
   the first result is on the wire before the second job has started,
   so fleet-sized sweeps pipeline into their consumers.
-- **Timeouts and cancellation.** A buffered request exceeding
-  ``request_timeout`` answers a typed 408 ``deadline_exceeded``. A
-  client that disconnects cancels its pending job future — work that
-  has not yet reached an executor thread never runs at all, and a
-  streaming sweep stops between jobs.
+- **Timeouts and cancellation.** ``request_timeout`` bounds both
+  reading a request and running it. A body that stalls, or a
+  buffered request whose work overruns, answers a typed 408
+  ``deadline_exceeded``; a request head that has started arriving
+  but stalls closes the connection. An idle keep-alive connection
+  waits without a deadline. A client that disconnects cancels its
+  pending job future — work that has not yet reached an executor
+  thread never runs at all, and a streaming sweep stops between
+  jobs.
 - **Rate limiting and auth.** A global token bucket
   (``rate_limit`` requests/second, ``rate_burst`` capacity) answers
   429 ``rate_limited`` when drained, and an optional ``auth`` hook
   (or the ``auth_token`` bearer-token convenience) answers 401
   ``unauthorized``. ``GET /v1/health`` is exempt from both —
   liveness must stay observable to fleet coordinators under load.
+
+With ``verbose`` the server logs one stderr line per request in the
+stdlib :mod:`http.server` shape
+(``host - - [date] "METHOD target HTTP/1.1" status -``).
 
 The server registers a load provider on the facade, so the health
 body's ``load`` block reports ``queue_depth`` (requests waiting for
@@ -44,13 +52,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _REASONS
 from typing import Callable, Dict, Optional, Tuple
 
-from ..errors import ReproError
 from .facade import AnalysisService
 from .http import (
     DEFAULT_REQUEST_TIMEOUT,
@@ -69,6 +77,7 @@ from .messages import (
     RequestError,
     ServiceError,
     UnauthorizedError,
+    error_reply,
 )
 
 #: Socket read size for the connection buffer.
@@ -146,7 +155,7 @@ class _Connection:
     """
 
     __slots__ = ("reader", "writer", "buffer", "busy", "task",
-                 "pending_read")
+                 "pending_read", "deadline", "request_line")
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
@@ -161,6 +170,11 @@ class _Connection:
         #: next request's parser — no per-request task churn, no
         #: double-read races on the StreamReader.
         self.pending_read: Optional[asyncio.Task] = None
+        #: Loop time by which the current request must have arrived,
+        #: armed by the first read of it that has to wait.
+        self.deadline: Optional[float] = None
+        #: The current request's raw first line, for the verbose log.
+        self.request_line = ""
 
     def feed(self, data: bytes) -> None:
         self.buffer.extend(data)
@@ -172,8 +186,23 @@ class _Connection:
                 self.reader.read(_READ_CHUNK))
         return self.pending_read
 
-    async def _fill(self) -> bool:
+    async def _fill(self, timeout: Optional[float]) -> bool:
+        """Read more bytes into the buffer; ``False`` at EOF.
+
+        With a ``timeout``, a read that has to wait arms the request's
+        deadline (once) and raises :class:`DeadlineError` past it. The
+        unfinished read stays parked on the connection for teardown.
+        """
         task = self.watch_read()
+        if timeout is not None and not task.done():
+            loop = asyncio.get_running_loop()
+            if self.deadline is None:
+                self.deadline = loop.time() + timeout
+            await asyncio.wait(
+                (task,), timeout=max(0.0, self.deadline - loop.time()))
+            if not task.done():
+                raise DeadlineError(
+                    f"request not received within {timeout}s")
         try:
             data = await task
         finally:
@@ -183,21 +212,29 @@ class _Connection:
         self.buffer.extend(data)
         return True
 
-    async def read_request(self
+    async def read_request(self, timeout: Optional[float]
                            ) -> Optional[Tuple[str, str,
                                                Dict[str, str]]]:
-        """``(method, target, headers)`` — or ``None`` at EOF."""
+        """``(method, target, headers)`` — or ``None`` at EOF.
+
+        Waiting for a request's first byte has no deadline (an idle
+        keep-alive connection); once bytes are buffered, the rest of
+        the request must arrive within ``timeout``.
+        """
+        self.deadline = None
+        self.request_line = ""
         while b"\r\n\r\n" not in self.buffer:
             if len(self.buffer) > _MAX_HEAD_BYTES:
                 raise _BadRequest("request head exceeds "
                                   f"{_MAX_HEAD_BYTES} bytes")
-            if not await self._fill():
+            if not await self._fill(timeout if self.buffer else None):
                 if self.buffer:
                     raise _BadRequest("truncated request head")
                 return None
         head, _, _ = bytes(self.buffer).partition(b"\r\n\r\n")
         del self.buffer[:len(head) + 4]
         lines = head.decode("latin-1").split("\r\n")
+        self.request_line = lines[0]
         parts = lines[0].split(" ")
         if len(parts) != 3:
             raise _BadRequest(f"malformed request line {lines[0]!r}")
@@ -208,12 +245,13 @@ class _Connection:
             headers[name.strip().lower()] = value.strip()
         return method.upper(), target, headers
 
-    async def read_body(self, headers: Dict[str, str]) -> bytes:
+    async def read_body(self, headers: Dict[str, str],
+                        timeout: Optional[float]) -> bytes:
         """The request body, honouring the wire's body policy.
 
-        Same rules as the threaded front-end: no chunked request
-        bodies, a sane Content-Length, and a typed error (with the
-        connection dropped) otherwise.
+        No chunked request bodies, a sane Content-Length, and the
+        rest of the request within ``timeout``; a typed error (with
+        the connection dropped) otherwise.
         """
         if headers.get("transfer-encoding") is not None:
             raise RequestError(
@@ -228,7 +266,7 @@ class _Connection:
                 "request body needs a Content-Length between 0 and "
                 f"{MAX_BODY_BYTES} bytes")
         while len(self.buffer) < length:
-            if not await self._fill():
+            if not await self._fill(timeout):
                 raise RequestError(
                     "request body truncated by the client")
         body = bytes(self.buffer[:length])
@@ -342,9 +380,13 @@ class AsyncServiceServer:
             while not self._draining:
                 conn.busy = False
                 try:
-                    request = await conn.read_request()
+                    request = await conn.read_request(
+                        self.request_timeout)
                 except asyncio.CancelledError:
                     break        # drain cancelled an idle read
+                except DeadlineError:
+                    self.timeouts_total += 1
+                    break        # a stalled request head: hang up
                 except _BadRequest as error:
                     conn.busy = True
                     await self._send_json(
@@ -389,17 +431,11 @@ class AsyncServiceServer:
 
     @staticmethod
     def _dispatch(route) -> Tuple[int, dict]:
-        """The threaded front-end's error taxonomy, shared verbatim."""
+        """Run a route; a failure answers its wire error."""
         try:
             return route()
-        except ServiceError as error:
-            return error.http_status, error.to_dict()
-        except ReproError as error:
-            return 400, {"error": {"code": "analysis_error",
-                                   "message": str(error)}}
         except Exception as error:  # noqa: BLE001 — server boundary
-            return 500, {"error": {"code": "internal",
-                                   "message": str(error)}}
+            return error_reply(error)
 
     async def _serve_one(self, conn: _Connection, method: str,
                          target: str,
@@ -409,11 +445,13 @@ class AsyncServiceServer:
         path, query = split_target(target)
         keep = headers.get("connection", "").lower() != "close"
         # The body must come off the wire before any response or
-        # keep-alive desyncs — same discipline as the threaded server.
+        # keep-alive desyncs.
         try:
-            body = await conn.read_body(headers) \
+            body = await conn.read_body(headers, self.request_timeout) \
                 if method == "POST" else b""
         except ServiceError as error:
+            if isinstance(error, DeadlineError):
+                self.timeouts_total += 1
             await self._send_json(conn, error.http_status,
                                   error.to_dict(), close=True)
             return False
@@ -604,19 +642,11 @@ class AsyncServiceServer:
                             queue.put(line), loop).result()
                         if stop.is_set():
                             break
-                except ServiceError as error:
-                    asyncio.run_coroutine_threadsafe(
-                        queue.put(error.to_dict()), loop).result()
-                except ReproError as error:
-                    asyncio.run_coroutine_threadsafe(
-                        queue.put({"error": {
-                            "code": "analysis_error",
-                            "message": str(error)}}), loop).result()
                 except Exception as error:  # noqa: BLE001 — boundary
+                    # The status is committed: the failure travels as
+                    # a final error line.
                     asyncio.run_coroutine_threadsafe(
-                        queue.put({"error": {
-                            "code": "internal",
-                            "message": str(error)}}), loop).result()
+                        queue.put(error_reply(error)[1]), loop).result()
             finally:
                 close = getattr(lines, "close", None)
                 if close is not None:
@@ -625,7 +655,8 @@ class AsyncServiceServer:
                     queue.put(None), loop).result()
 
         producer = self._submit(produce)
-        conn.writer.write(
+        self._write_response(
+            conn, 200,
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n\r\n")
@@ -706,11 +737,24 @@ class AsyncServiceServer:
                 f"Content-Length: {len(body)}\r\n")
         if close:
             head += "Connection: close\r\n"
-        conn.writer.write(head.encode("latin-1") + b"\r\n" + body)
+        self._write_response(conn, status,
+                             head.encode("latin-1") + b"\r\n" + body)
         try:
             await conn.writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+
+    def _write_response(self, conn: _Connection, status: int,
+                        data: bytes) -> None:
+        """Put a response (or a stream's head) on the wire, logging
+        the request first when verbose."""
+        if self.verbose:
+            host = (conn.writer.get_extra_info("peername")
+                    or ("-",))[0]
+            sys.stderr.write('%s - - [%s] "%s" %s -\n' % (
+                host, time.strftime("%d/%b/%Y %H:%M:%S"),
+                conn.request_line, status))
+        conn.writer.write(data)
 
 
 class AsyncServerThread:

@@ -61,6 +61,7 @@ from .messages import (
     ServiceError,
     SweepRequest,
     cache_stats_to_dict,
+    error_reply,
 )
 
 #: Operations an async submission may name. Lint is deliberately
@@ -141,8 +142,8 @@ class AnalysisService:
 
     Thread safety: the underlying caches are lock-protected and the
     engine keeps no per-run state, so one service instance serves
-    concurrent callers — which is exactly how the threaded HTTP
-    front-end uses it.
+    concurrent callers — which is exactly how the HTTP front-end's
+    executor threads use it.
     """
 
     def __init__(self, backend: str = "thread",
@@ -183,10 +184,9 @@ class AnalysisService:
         self._jobs: Dict[str, _JobRecord] = {}
         self._executor: Optional[futures.ThreadPoolExecutor] = None
         self._closed = False
-        #: Front-end load hook: a server front-end (threaded or
-        #: asyncio) may register a callable returning its
-        #: queue/shed/limit counters, merged into the health body's
-        #: ``load`` block by :meth:`describe`.
+        #: Front-end load hook: the HTTP front-end registers a
+        #: callable returning its queue/shed/limit counters, merged
+        #: into the health body's ``load`` block by :meth:`describe`.
         self._load_provider = None
 
     # -- engine ------------------------------------------------------------
@@ -687,17 +687,8 @@ class AnalysisService:
             # "done" must always see the payload.
             record.payload = record.response.to_dict()
             record.status = "done"
-        except ServiceError as error:
-            record.error = error.to_dict()["error"]
-            record.status = "error"
-        except ReproError as error:
-            # Engine-level input problems are the caller's to fix,
-            # not a service fault.
-            record.error = {"code": "analysis_error",
-                            "message": str(error)}
-            record.status = "error"
         except Exception as error:  # noqa: BLE001 — job boundary
-            record.error = {"code": "internal", "message": str(error)}
+            record.error = error_reply(error)[1]["error"]
             record.status = "error"
 
     def job_status(self, job_id: str) -> JobStatus:

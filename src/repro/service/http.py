@@ -1,8 +1,11 @@
-"""The stdlib HTTP/JSON front-end over :class:`AnalysisService`.
+"""The service's REST surface: the one routing table.
 
-``repro serve`` runs a :class:`http.server.ThreadingHTTPServer` whose
-handler routes a small REST surface onto the facade — every endpoint
-speaks the typed wire contract of :mod:`~repro.service.messages`:
+Pure functions from a request to ``(status, body)`` over
+:class:`AnalysisService`, shared by the HTTP front-end
+(:mod:`repro.service.aio`, the server ``repro serve`` runs) and by
+the fleet's in-process :class:`~repro.fleet.transport.LoopbackTransport`,
+so both answer exactly what the wire would. Every endpoint speaks the
+typed wire contract of :mod:`~repro.service.messages`:
 
 ===========  =============================  ================================
 method       path                           operation
@@ -20,11 +23,11 @@ method       path                           operation
 ``POST``     ``/v1/cache/prune``            age/size-budget eviction
 ===========  =============================  ================================
 
-Failures are structured: a :class:`~repro.service.messages.ServiceError`
-maps onto its declared HTTP status with an ``{"error": {code, message}}``
-body; malformed JSON and unknown routes are 400/404 with the same
-shape. Handlers run on the server's per-connection threads, so
-concurrent requests genuinely share the facade's tiered caches.
+Failures are structured: a route raises a typed
+:class:`~repro.service.messages.ServiceError`, and
+:func:`~repro.service.messages.error_reply` maps any failure onto its
+HTTP status and an ``{"error": {code, message}}`` body; malformed
+JSON and unknown routes are 400/404 with the same shape.
 
 Model references over the wire may not use server-side file paths
 (requests parse with ``allow_paths=False``); upload text and reference
@@ -33,22 +36,16 @@ it by hash instead.
 
 from __future__ import annotations
 
-import json
-import socket
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 from urllib.parse import parse_qs
 
-from ..errors import ReproError
 from .facade import OPS, AnalysisService
 from .messages import (
     AnalysisRequest,
-    DeadlineError,
     LintRequest,
     NotFoundError,
     ReanalyzeRequest,
     RequestError,
-    ServiceError,
     SweepRequest,
     check_payload,
 )
@@ -63,8 +60,8 @@ _REQUEST_TYPES = {
 #: Upload body cap — a DSL model is text, not a blob store.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Default per-request socket/time budget, overridable via
-#: ``repro serve --request-timeout`` on both front-ends.
+#: Default per-request time budget, overridable via
+#: ``repro serve --request-timeout``.
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
 
@@ -87,9 +84,9 @@ def wants_stream(query: Dict[str, list]) -> bool:
 # -- routing -----------------------------------------------------------------
 #
 # Pure (service, path[, payload]) -> (status, body) functions, shared
-# by the socket handler below and by in-process fronts that must
-# behave exactly like the wire (repro.fleet's LoopbackTransport) —
-# one routing table, no drift.
+# by the socket front-end and by in-process fronts that must behave
+# exactly like the wire (repro.fleet's LoopbackTransport) — one
+# routing table, no drift.
 
 def route_get(service: AnalysisService,
               path: str) -> Tuple[int, dict]:
@@ -164,7 +161,7 @@ def route_post_stream(service: AnalysisService, path: str,
                       should_stop=None) -> Iterator[dict]:
     """Route one streaming POST; returns the ndjson line iterator.
 
-    Shared by both socket front-ends and the fleet's
+    Shared by the socket front-end and the fleet's
     :class:`~repro.fleet.transport.LoopbackTransport`, exactly like
     :func:`route_post` — one routing table, no drift. Request
     validation errors raise *before* the iterator is returned, so
@@ -179,241 +176,3 @@ def route_post_stream(service: AnalysisService, path: str,
     raise NotFoundError(
         f"no streaming endpoint: POST {path} (streaming routes: "
         f"{', '.join(STREAM_ROUTES)})")
-
-
-class ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
-    """Routes the REST surface onto one shared facade instance."""
-
-    #: Injected by :func:`make_server`.
-    service: AnalysisService = None
-    #: Suppress per-request stderr logging unless asked for.
-    verbose = False
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-service"
-    #: Socket timeout: a stalled client must not pin a handler thread.
-    #: Overridden per server by ``repro serve --request-timeout``; a
-    #: timeout *mid-request* answers a typed 408 instead of silently
-    #: dropping the connection.
-    timeout = DEFAULT_REQUEST_TIMEOUT
-
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib name
-        if self.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Tell the client, don't just hang up (set when a body
-            # was refused unread and keep-alive would desync).
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        if self.headers.get("Transfer-Encoding") is not None:
-            # No chunked decoding here: silently reading length 0
-            # would both drop the caller's body and desync keep-alive
-            # with the unread chunks.
-            self.close_connection = True
-            raise RequestError(
-                "chunked request bodies are not supported; send a "
-                "Content-Length")
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            # The body stays unread (and a negative/garbage length
-            # must never reach rfile.read, which would block until
-            # EOF): drop the connection after the error response, or
-            # the next keep-alive request would parse leftover body
-            # bytes as its request line.
-            self.close_connection = True
-            raise RequestError(
-                "request body needs a Content-Length between 0 and "
-                f"{MAX_BODY_BYTES} bytes")
-        try:
-            raw = self.rfile.read(length) if length else b""
-        except socket.timeout as error:
-            # The client stalled mid-body past the request budget:
-            # answer the typed 408 the deadline contract promises
-            # instead of silently dropping the connection.
-            self.close_connection = True
-            raise DeadlineError(
-                f"request body not received within {self.timeout}s"
-            ) from error
-        except OSError as error:
-            # Stalled or broken client mid-body: the socket is no
-            # longer usable for keep-alive, and the failure is the
-            # caller's, not a 500.
-            self.close_connection = True
-            raise RequestError(
-                f"request body could not be read: {error}") from error
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise RequestError(
-                f"request body is not valid JSON: {error}") from error
-
-    def _dispatch(self, route) -> None:
-        try:
-            status, payload = route()
-        except ServiceError as error:
-            status, payload = error.http_status, error.to_dict()
-        except ReproError as error:
-            # Engine-level input problems (bad kind params, unknown
-            # agreed services, ...) are the caller's fault: 400, not
-            # a server error.
-            status, payload = 400, {"error": {
-                "code": "analysis_error", "message": str(error)}}
-        except Exception as error:  # noqa: BLE001 — server boundary
-            status, payload = 500, {"error": {
-                "code": "internal", "message": str(error)}}
-        try:
-            self._send_json(status, payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # pragma: no cover — the client went away mid-response;
-            # nothing to answer, just give the connection up.
-            self.close_connection = True
-
-    # -- streaming ---------------------------------------------------------
-
-    def _stream_ndjson(self, lines: Iterator[dict]) -> None:
-        """Emit one chunked ndjson line per iterator item.
-
-        The status is committed before the first line, so mid-stream
-        failures become a final ``{"error": ...}`` line. A client
-        that disconnects mid-stream surfaces as a failed chunk write;
-        the iterator is closed (``GeneratorExit`` inside the facade's
-        generator stops the remaining jobs) and the connection given
-        up.
-        """
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
-        def chunk(line: dict) -> None:
-            data = json.dumps(
-                line, separators=(",", ":")).encode("utf-8") + b"\n"
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
-            self.wfile.flush()
-
-        try:
-            try:
-                for line in lines:
-                    chunk(line)
-            except ServiceError as error:
-                chunk(error.to_dict())
-            except ReproError as error:
-                chunk({"error": {"code": "analysis_error",
-                                 "message": str(error)}})
-            except Exception as error:  # noqa: BLE001 — boundary
-                chunk({"error": {"code": "internal",
-                                 "message": str(error)}})
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            # The client went away mid-stream: stop producing.
-            self.close_connection = True
-        finally:
-            close = getattr(lines, "close", None)
-            if close is not None:
-                close()
-
-    # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib name
-        path, _ = split_target(self.path)
-        self._dispatch(lambda: self._route_get(path))
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib name
-        path, query = split_target(self.path)
-        if path in STREAM_ROUTES and wants_stream(query):
-            try:
-                lines = route_post_stream(self.service, path,
-                                          self._read_json())
-            except Exception:  # noqa: BLE001 — pre-stream errors
-                # Validation failed before the stream was committed:
-                # answer the same typed status a buffered request
-                # would get.
-                def refuse():
-                    raise
-                self._dispatch(refuse)
-                return
-            self._stream_ndjson(lines)
-            return
-        self._dispatch(lambda: self._route_post(path))
-
-    def _route_get(self, path: str) -> Tuple[int, dict]:
-        return route_get(self.service, path)
-
-    def _route_post(self, path: str) -> Tuple[int, dict]:
-        return route_post(self.service, path, self._read_json())
-
-
-def make_server(service: AnalysisService, host: str = "127.0.0.1",
-                port: int = 0, verbose: bool = False,
-                request_timeout: float = DEFAULT_REQUEST_TIMEOUT
-                ) -> ThreadingHTTPServer:
-    """A ready-to-run threaded server bound to ``host:port``.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    ``server.server_address``) — the shape the tests and benchmarks
-    use. The caller owns the lifecycle: ``serve_forever()`` /
-    ``shutdown()`` / ``server_close()``. ``request_timeout`` is the
-    per-request socket budget; a client stalling mid-body past it
-    gets a typed 408 rather than a silent drop.
-    """
-    handler = type("BoundServiceHandler",
-                   (ServiceHTTPRequestHandler,),
-                   {"service": service, "verbose": verbose,
-                    "timeout": request_timeout})
-    return ThreadingHTTPServer((host, port), handler)
-
-
-def serve(service: AnalysisService, host: str = "127.0.0.1",
-          port: int = 8787, verbose: bool = False,
-          ready_message: Optional[bool] = True,
-          request_timeout: float = DEFAULT_REQUEST_TIMEOUT) -> int:
-    """Run the threaded front-end until interrupted (the body of
-    ``repro serve --threaded``).
-
-    SIGTERM and SIGINT both stop the accept loop; ``port=0`` binds an
-    ephemeral port and the ready message prints the *actually bound*
-    port so parallel test servers can discover their address.
-    """
-    import signal
-    import threading
-    server = make_server(service, host, port, verbose=verbose,
-                         request_timeout=request_timeout)
-    bound_host, bound_port = server.server_address[:2]
-    if ready_message:
-        print(f"repro service listening on "
-              f"http://{bound_host}:{bound_port} "
-              f"(backend={service.describe()['backend']}, "
-              f"cache_dir={service.cache_dir})", flush=True)
-    previous = None
-    if threading.current_thread() is threading.main_thread():
-        # shutdown() must not run on the serve_forever thread (it
-        # deadlocks); hand it to a helper and let the signal return.
-        def on_term(signum, frame):
-            threading.Thread(target=server.shutdown,
-                             daemon=True).start()
-        previous = signal.signal(signal.SIGTERM, on_term)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-        service.close()
-    return 0

@@ -119,6 +119,23 @@ class OverloadedError(ServiceError):
     http_status = 429
 
 
+def error_reply(error: BaseException) -> Tuple[int, dict]:
+    """The wire answer to a failed operation: ``(status, body)``.
+
+    A :class:`ServiceError` answers its declared status and payload.
+    Any other :class:`ReproError` is an engine-level input problem
+    (bad kind params, unknown agreed services, ...), so the caller's
+    to fix: 400 ``analysis_error``. Anything else is a server fault:
+    500 ``internal``.
+    """
+    if isinstance(error, ServiceError):
+        return error.http_status, error.to_dict()
+    if isinstance(error, ReproError):
+        return 400, {"error": {"code": "analysis_error",
+                               "message": str(error)}}
+    return 500, {"error": {"code": "internal", "message": str(error)}}
+
+
 # -- declarative payload validation ------------------------------------------
 
 #: One field spec: (accepted types, required, default).
@@ -962,9 +979,10 @@ class WorkerLoad:
 
     ``queue_depth``/``shed_total``/``inflight_limit`` are the
     front-end half of the picture (requests waiting for an executor
-    slot, 429s shed so far, and the configured concurrency cap);
-    the threaded front-end, which has no bounded queue, reports all
-    three as zero. Every pre-existing field keeps its exact shape.
+    slot, 429s shed so far, and the configured concurrency cap); a
+    worker whose health predates them, or a service with no serving
+    front-end, reports all three as zero. Every pre-existing field
+    keeps its exact shape.
     """
 
     in_flight: int = 0

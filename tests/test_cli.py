@@ -438,30 +438,41 @@ class TestEngineCommands:
 
 class TestServeCommand:
     def test_serve_starts_and_answers_health(self, tmp_path):
-        """`repro serve` end to end: bind an ephemeral port, drive it
-        over HTTP, shut it down."""
+        """`repro serve` end to end: a real process binds an ephemeral
+        port, answers over HTTP and exits 0 on SIGTERM."""
         import json
-        import threading
+        import select
+        import signal
+        import subprocess
+        import sys
         import urllib.request
-        from repro.service import AnalysisService, make_server
 
-        service = AnalysisService(backend="serial",
-                                  cache_dir=str(tmp_path / "c"))
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--backend", "serial", "--cache-dir", str(tmp_path / "c")],
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
+            ready, _, _ = select.select([process.stdout], [], [], 30)
+            assert ready, "no ready line within 30s"
+            line = process.stdout.readline().decode()
+            address = line.split("http://", 1)[1].split(" ", 1)[0]
             with urllib.request.urlopen(
-                    f"http://{host}:{port}/v1/health",
+                    f"http://{address}/v1/health",
                     timeout=10) as reply:
                 payload = json.loads(reply.read())
             assert payload["status"] == "ok"
+            assert payload["backend"] == "serial"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0, \
+                process.stderr.read().decode()
         finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
 
     def test_serve_is_wired_into_the_parser(self):
         from repro.cli import build_parser

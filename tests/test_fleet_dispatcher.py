@@ -30,7 +30,7 @@ from repro.fleet import (
     TransportError,
     WireError,
 )
-from repro.service import AnalysisService, SweepRequest
+from repro.service import AnalysisService, RequestError, SweepRequest
 
 
 def make_jobs(count=6, personas=2, seed=7, kinds=("disclosure",)):
@@ -381,6 +381,30 @@ class TestFailureHandling:
                             kind=job.kind)
         with pytest.raises(FleetError, match="generation options"):
             make_dispatcher(transport).run([wired])
+
+    def test_loopback_errors_match_the_http_transport(self, fleet,
+                                                      monkeypatch):
+        """Refusals keep their status; a mid-stream error is a 500,
+        as HttpTransport reports any ndjson error line."""
+        services, transport = fleet
+        with pytest.raises(WireError) as refused:
+            transport.stream("alpha", "/v1/sweep", {"count": -4})
+        assert (refused.value.status, refused.value.code) == \
+            (400, "bad_request")
+
+        def failing(request, should_stop=None):
+            yield {"index": 0}
+            raise RequestError("gone mid-stream")
+
+        monkeypatch.setattr(services["alpha"], "sweep_stream", failing)
+        lines = transport.stream("alpha", "/v1/sweep", {"count": 1})
+        assert next(lines) == {"index": 0}
+        with pytest.raises(WireError) as mid:
+            next(lines)
+        assert (mid.value.status, mid.value.code) == \
+            (500, "bad_request")
+        with pytest.raises(TransportError, match="unsupported method"):
+            transport.request("alpha", "PUT", "/v1/models")
 
 
 class TestSweepStream:

@@ -14,34 +14,24 @@ from repro.fleet import (
     TransportError,
     WireError,
 )
-from repro.service import AnalysisService, make_server
+from repro.service import AnalysisService, AsyncServerThread
 
 
 @pytest.fixture
 def http_fleet(tmp_path):
-    """Two live threaded servers; yields their worker addresses."""
-    services, servers, threads = [], [], []
+    """Two live servers; yields their worker addresses."""
+    services, fronts = [], []
     for index in range(2):
         service = AnalysisService(
             backend="serial",
             cache_dir=str(tmp_path / f"worker{index}"))
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
         services.append(service)
-        servers.append(httpd)
-        threads.append(thread)
-    workers = [f"127.0.0.1:{httpd.server_address[1]}"
-               for httpd in servers]
-    yield workers
-    for httpd in servers:
-        httpd.shutdown()
-        httpd.server_close()
+        fronts.append(AsyncServerThread(service).start())
+    yield [f"{front.host}:{front.port}" for front in fronts]
+    for front in fronts:
+        front.stop()
     for service in services:
         service.close()
-    for thread in threads:
-        thread.join(timeout=5)
 
 
 def make_jobs():

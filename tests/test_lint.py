@@ -396,20 +396,13 @@ class TestLintWire:
 
     @pytest.fixture
     def server(self, tmp_path):
-        import threading
-        from repro.service import AnalysisService, make_server
+        from repro.service import AnalysisService, AsyncServerThread
         service = AnalysisService(
             backend="serial", cache_dir=str(tmp_path / "cache"))
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        yield f"http://{host}:{port}"
-        httpd.shutdown()
-        httpd.server_close()
+        front = AsyncServerThread(service).start()
+        yield front.base
+        front.stop()
         service.close()
-        thread.join(timeout=5)
 
     @staticmethod
     def _call(base, payload):

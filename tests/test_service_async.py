@@ -1,14 +1,11 @@
-"""The asyncio front-end: parity with the threaded server, streaming,
-backpressure, cancellation, auth, rate limiting and deadlines.
+"""The asyncio front-end: the recorded wire contract, streaming,
+backpressure, cancellation, auth, rate limiting, deadlines and logging.
 
-The centrepiece is a property test driving *identical* request
-streams through a live threaded server and a live asyncio server
-backed by equally-configured facades, asserting byte-identical
-response payloads (after normalising wall-clock fields — ``duration``
-and friends genuinely differ between two independent runs) and
-identical :meth:`JobResult.signature` tuples on every ``/v1/*``
-route. Both servers see every example's requests in the same order,
-so their cache states stay in lockstep across the whole run.
+The centrepiece replays ``tests/data/golden_wire.json`` — an ordered
+transcript of exchanges over every ``/v1/*`` route plus one streamed
+sweep (see ``capture_golden_wire.py``) — against a fresh server and
+requires the same status, Content-Type and normalised body for each,
+in order, so cache state evolves exactly as it did when recorded.
 """
 
 import http.client
@@ -21,67 +18,23 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from capture_golden_wire import (
+    DATA_PATH,
+    MODEL,
+    SERVICE_CONFIG,
+    build_service,
+    normalize,
+    record,
+)
 from repro.service import (
-    AnalysisResponse,
     AnalysisService,
     AsyncServerThread,
     TokenBucket,
     WorkerLoad,
-    make_server,
 )
 
-MODEL = """
-system demo {
-  schema S {
-    field name: string kind identifier
-    field issue: string kind sensitive
-  }
-  actor Doctor
-  actor Auditor
-  datastore Records schema S
-  service Consult {
-    flow 1 User -> Doctor fields [name, issue] purpose "consult"
-    flow 2 Doctor -> Records fields [name, issue] purpose "record"
-  }
-  acl {
-    allow Doctor read, create on Records
-    allow Auditor read on Records
-  }
-}
-"""
-
-MODEL_B = """
-system clinic {
-  schema S {
-    field email: string kind identifier
-    field notes: string kind sensitive
-  }
-  actor Nurse
-  datastore Charts schema S
-  service Intake {
-    flow 1 User -> Nurse fields [email, notes] purpose "intake"
-    flow 2 Nurse -> Charts fields [email, notes] purpose "file"
-  }
-  acl {
-    allow Nurse read, create on Charts
-  }
-}
-"""
-
 USER = {"agree": ["Consult"], "sensitivities": {"issue": "high"}}
-
-#: Wall-clock fields that honestly differ between two runs of the
-#: same work, plus the load fields only a serving front-end fills in.
-VOLATILE = ("duration", "wall_time", "oldest_age", "newest_age",
-            "queue_depth", "shed_total", "inflight_limit")
-_VOLATILE_RE = re.compile(
-    r'"(%s)":\s*-?[0-9.e+-]+' % "|".join(VOLATILE))
-
-
-def normalize(body: bytes) -> str:
-    return _VOLATILE_RE.sub(r'"\1": 0', body.decode("utf-8"))
 
 
 def call(base, path, payload=None, method=None, headers=None):
@@ -109,86 +62,28 @@ def async_server():
     service.close()
 
 
-# -- parity: one request stream, two front-ends --------------------------------
+# -- the wire contract: a recorded transcript ----------------------------------
 
-# Each op is (path, payload) — POST when payload is not None. The
-# pool walks every wire route except the async job table (its
-# queued/running snapshots race wall-clock, covered deterministically
-# below).
-OPS = st.lists(
-    st.one_of(
-        st.just(("/v1/models", {"text": MODEL})),
-        st.just(("/v1/models", {"text": MODEL_B})),
-        st.just(("/v1/models", None)),
-        st.just(("/v1/health", None)),
-        st.just(("/v1/kinds", None)),
-        st.just(("/v1/cache/stats", None)),
-        st.builds(
-            lambda level: ("/v1/analyze", {
-                "models": [{"text": MODEL}],
-                "user": {"agree": ["Consult"],
-                         "sensitivities": {"issue": level}}}),
-            st.sampled_from(["low", "medium", "high"])),
-        st.builds(
-            lambda seed, count, screen: ("/v1/sweep", {
-                "seed": seed, "count": count, "screen": screen}),
-            st.integers(min_value=0, max_value=2),
-            st.integers(min_value=1, max_value=2),
-            st.booleans()),
-        st.builds(
-            lambda seed: ("/v1/sweep", {
-                "seed": seed, "count": 2, "indices": [0, 2]}),
-            st.integers(min_value=0, max_value=1)),
-        st.just(("/v1/lint", {"models": [{"text": MODEL}]})),
-        st.just(("/v1/nope", None)),            # GET 404
-        st.just(("/v1/nope", {})),              # POST 404
-        st.just(("/v1/models", {"wrong": 1})),  # typed 400
-        st.just(("/v1/sweep", {"count": -4})),  # refused request
-    ),
-    min_size=1, max_size=6)
-
-
-class TestFrontEndParity:
-    """Identical request streams answer identically on both fronts."""
-
-    @classmethod
-    def setup_class(cls):
-        cls.threaded_service = AnalysisService(backend="thread")
-        cls.httpd = make_server(cls.threaded_service, port=0)
-        cls.thread = threading.Thread(
-            target=cls.httpd.serve_forever, daemon=True)
-        cls.thread.start()
-        host, port = cls.httpd.server_address[:2]
-        cls.threaded_base = f"http://{host}:{port}"
-        cls.async_service = AnalysisService(backend="thread")
-        cls.front = AsyncServerThread(cls.async_service).start()
-        cls.async_base = cls.front.base
-
-    @classmethod
-    def teardown_class(cls):
-        cls.httpd.shutdown()
-        cls.httpd.server_close()
-        cls.threaded_service.close()
-        cls.thread.join(timeout=5)
-        cls.front.stop()
-        cls.async_service.close()
-
-    @given(ops=OPS)
-    @settings(max_examples=25, deadline=None)
-    def test_byte_identical_responses(self, ops):
-        for path, payload in ops:
-            t_status, t_body = call(self.threaded_base, path, payload)
-            a_status, a_body = call(self.async_base, path, payload)
-            assert t_status == a_status, (path, payload)
-            assert normalize(t_body) == normalize(a_body), \
-                (path, payload)
-            if t_status == 200 and path in ("/v1/analyze",
-                                            "/v1/sweep"):
-                t_sigs = AnalysisResponse.from_dict(
-                    json.loads(t_body)).signatures()
-                a_sigs = AnalysisResponse.from_dict(
-                    json.loads(a_body)).signatures()
-                assert t_sigs == a_sigs
+def test_golden_wire_transcript_replays():
+    """Every recorded exchange answers as recorded, in order."""
+    with open(DATA_PATH, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert golden["service"] == SERVICE_CONFIG
+    service = build_service()
+    front = AsyncServerThread(service).start()
+    try:
+        replayed = record(
+            front.base,
+            [(entry["method"], entry["target"], entry["request"])
+             for entry in golden["exchanges"]],
+            (golden["stream"]["target"], golden["stream"]["request"]))
+    finally:
+        front.stop()
+        service.close()
+    assert len(replayed["exchanges"]) == len(golden["exchanges"])
+    for want, got in zip(golden["exchanges"], replayed["exchanges"]):
+        assert got == want, (want["method"], want["target"])
+    assert replayed["stream"] == golden["stream"]
 
 
 def test_async_job_routes_round_trip(async_server):
@@ -298,36 +193,6 @@ def test_stream_mid_disconnect_stops_jobs(async_server):
     assert len(executed) < 20         # 10 scenarios x 1 kind x ...
 
 
-def test_threaded_stream_matches_async_stream():
-    """The threaded front-end speaks the same streaming wire."""
-    def collect(base):
-        request = urllib.request.Request(
-            base + "/v1/sweep?stream=1",
-            data=json.dumps({"seed": 2, "count": 3}).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST")
-        with urllib.request.urlopen(request, timeout=30) as reply:
-            assert reply.headers["Content-Type"] == \
-                "application/x-ndjson"
-            return [normalize(line) for line in reply if line.strip()]
-
-    t_service = AnalysisService(backend="thread")
-    httpd = make_server(t_service, port=0)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    a_service = AnalysisService(backend="thread")
-    front = AsyncServerThread(a_service).start()
-    try:
-        threaded = collect("http://%s:%s" % httpd.server_address[:2])
-        asynced = collect(front.base)
-        assert threaded == asynced
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        t_service.close()
-        front.stop()
-        a_service.close()
-
-
 # -- backpressure, rate limiting, auth, deadlines ------------------------------
 
 class SlowSweepService(AnalysisService):
@@ -427,32 +292,75 @@ def test_request_deadline_answers_typed_408():
         service.close()
 
 
-def test_threaded_request_timeout_answers_typed_408():
-    """The threaded front-end honours --request-timeout too: a body
-    that never arrives answers 408, not a silent drop."""
-    service = AnalysisService(backend="serial")
-    httpd = make_server(service, port=0, request_timeout=0.2)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    host, port = httpd.server_address[:2]
+def _stall(front, data: bytes) -> bytes:
+    """Send ``data``, then nothing more; everything the server sends
+    before it hangs up (the socket read gives up after 10s)."""
+    raw = socket.create_connection((front.host, front.port), timeout=10)
     try:
-        raw = socket.create_connection((host, port), timeout=10)
-        raw.sendall(b"POST /v1/sweep HTTP/1.1\r\n"
-                    b"Host: x\r\nContent-Type: application/json\r\n"
-                    b"Content-Length: 100\r\n\r\n{")  # ...stall
-        # Head and body may land in separate segments under load.
-        buffered = b""
-        while b"deadline_exceeded" not in buffered:
-            data = raw.recv(65536)
-            if not data:
-                break
-            buffered += data
-        reply = buffered.decode()
-        raw.close()
-        assert "408" in reply.splitlines()[0]
-        assert "deadline_exceeded" in reply
+        raw.sendall(data)
+        received = b""
+        while True:
+            chunk = raw.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        raw.close()
+
+
+def test_stalled_body_answers_typed_408_and_closes():
+    """A body that never arrives answers 408, not a silent hang."""
+    service = AnalysisService(backend="serial")
+    front = AsyncServerThread(service, request_timeout=0.2).start()
+    try:
+        reply = _stall(front, b"POST /v1/sweep HTTP/1.1\r\n"
+                              b"Host: x\r\n"
+                              b"Content-Type: application/json\r\n"
+                              b"Content-Length: 100\r\n\r\n{")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == \
+            b"HTTP/1.1 408 Request Timeout"
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body)["error"]["code"] == "deadline_exceeded"
+        assert front.server.timeouts_total == 1
+    finally:
+        front.stop()
+        service.close()
+
+
+def test_stalled_request_head_closes_the_connection():
+    service = AnalysisService(backend="serial")
+    front = AsyncServerThread(service, request_timeout=0.2).start()
+    try:
+        started = time.monotonic()
+        reply = _stall(front, b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\n")
+        assert reply == b""
+        assert time.monotonic() - started < 5
+        assert front.server.timeouts_total == 1
+    finally:
+        front.stop()
+        service.close()
+
+
+def test_idle_connections_outlive_the_request_timeout():
+    """The deadline covers a request in progress, not the wait for
+    one: fresh and keep-alive connections stay open while idle."""
+    service = AnalysisService(backend="serial")
+    front = AsyncServerThread(service, request_timeout=0.2).start()
+    try:
+        conn = http.client.HTTPConnection(front.host, front.port,
+                                          timeout=10)
+        conn.connect()
+        for _ in range(2):
+            time.sleep(0.5)
+            conn.request("GET", "/v1/health")
+            reply = conn.getresponse()
+            assert reply.status == 200
+            reply.read()
+        conn.close()
+        assert front.server.timeouts_total == 0
+    finally:
+        front.stop()
         service.close()
 
 
@@ -530,6 +438,39 @@ def test_health_decodes_front_end_load_fields(async_server):
     load = WorkerLoad.from_health(health)
     assert load.inflight_limit == front.server.max_inflight
     assert load.to_dict() == health["load"]
+
+
+# -- request logging -----------------------------------------------------------
+
+_LOG_LINE = re.compile(
+    r'127\.0\.0\.1 - - \[\d\d/\w{3}/\d{4} \d\d:\d\d:\d\d\] '
+    r'"(?P<line>[^"]*)" (?P<status>\d{3}) -')
+
+
+def _logged(err: str):
+    return [(match["line"], match["status"])
+            for match in map(_LOG_LINE.fullmatch, err.splitlines())
+            if match]
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_logs_one_line_per_request(capsys, verbose):
+    service = AnalysisService(backend="serial")
+    front = AsyncServerThread(service, verbose=verbose).start()
+    try:
+        call(front.base, "/v1/health")
+        call(front.base, "/v1/nope", {})
+        call(front.base, "/v1/sweep?stream=1", {"count": 1})
+    finally:
+        front.stop()
+        service.close()
+    expected = [
+        ("GET /v1/health HTTP/1.1", "200"),
+        ("POST /v1/nope HTTP/1.1", "404"),
+        ("POST /v1/sweep?stream=1 HTTP/1.1", "200"),
+    ]
+    assert _logged(capsys.readouterr().err) == \
+        (expected if verbose else [])
 
 
 # -- token bucket --------------------------------------------------------------

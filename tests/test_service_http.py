@@ -1,4 +1,4 @@
-"""HTTP front-end roundtrips against a live threaded server."""
+"""HTTP front-end roundtrips against a live server."""
 
 import json
 import threading
@@ -11,7 +11,7 @@ import pytest
 from repro.service import (
     AnalysisResponse,
     AnalysisService,
-    make_server,
+    AsyncServerThread,
 )
 
 MODEL = """
@@ -41,15 +41,10 @@ USER = {"agree": ["Consult"], "sensitivities": {"issue": "high"}}
 def server(tmp_path):
     service = AnalysisService(backend="thread",
                               cache_dir=str(tmp_path / "cache"))
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
-    yield f"http://{host}:{port}", service
-    httpd.shutdown()
-    httpd.server_close()
+    front = AsyncServerThread(service).start()
+    yield front.base, service
+    front.stop()
     service.close()
-    thread.join(timeout=5)
 
 
 def call(base, path, payload=None, method=None):

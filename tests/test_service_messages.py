@@ -6,11 +6,13 @@ import pytest
 
 from repro.casestudies import build_surgery_system, surgery_patient
 from repro.engine import AnalysisJob, BatchEngine, EngineStats
+from repro.errors import ReproError
 from repro.service import (
     AnalysisRequest,
     AnalysisResponse,
     CachePruneResponse,
     CacheStatsResponse,
+    InvalidModelError,
     JobStatus,
     ModelRef,
     ReanalyzeRequest,
@@ -18,6 +20,7 @@ from repro.service import (
     SweepRequest,
     UserSpec,
     check_payload,
+    error_reply,
     population_breakdown,
     result_from_dict,
     result_to_dict,
@@ -62,6 +65,23 @@ class TestCheckPayload:
         with pytest.raises(RequestError, match="boolean"):
             check_payload({"name": "x", "count": True},
                           self.FIELDS, "msg")
+
+
+class TestErrorReply:
+    """One mapping from any failure to its wire error."""
+
+    def test_service_errors_answer_their_status_and_payload(self):
+        error = InvalidModelError("bad model", issues=["line 3"])
+        assert error_reply(error) == (422, error.to_dict())
+
+    def test_engine_errors_are_analysis_errors(self):
+        assert error_reply(ReproError("unknown kind")) == (400, {
+            "error": {"code": "analysis_error",
+                      "message": "unknown kind"}})
+
+    def test_anything_else_is_internal(self):
+        assert error_reply(RuntimeError("boom")) == (500, {
+            "error": {"code": "internal", "message": "boom"}})
 
 
 class TestModelRef:
