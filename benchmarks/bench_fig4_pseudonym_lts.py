@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import TransitionKind, generate_lts
-from repro.core.risk import PseudonymisationRiskAnalyzer
+from repro.core.risk import PseudonymisationRiskAnalyzer, merge_risks
 from repro.viz import lts_to_dot, risk_transition_table
 
 
@@ -36,16 +36,16 @@ def test_fig4_annotation(benchmark, research_system, weight_policy,
     benchmark.extra_info["violation_scores"] = [0, 2, 4]
     print()
     print("=== Fig. 4 risk transitions ===")
-    print(risk_transition_table(lts))
+    print(risk_transition_table(lts, merge_risks(risks)))
 
 
 def test_fig4_dot_render(benchmark, research_system, weight_policy,
                          table1):
     lts = generate_lts(research_system)
-    PseudonymisationRiskAnalyzer(
+    risks = PseudonymisationRiskAnalyzer(
         research_system, weight_policy,
         dataset=table1).annotate(lts, actors=["Researcher"])
-    dot = benchmark(lts_to_dot, lts, "fig4")
+    dot = benchmark(lts_to_dot, lts, "fig4", risks=merge_risks(risks))
     assert "style=dotted" in dot
     assert "violations=0/6" in dot
     assert "violations=2/6" in dot

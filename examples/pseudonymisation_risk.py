@@ -21,6 +21,7 @@ from repro.core import generate_lts
 from repro.core.risk import (
     PseudonymisationRiskAnalyzer,
     ValueRiskPolicy,
+    merge_risks,
     render_risk_table,
     risk_sweep,
 )
@@ -79,7 +80,8 @@ def main():
         record_field_map={"age_anon": "age", "height_anon": "height",
                           "weight_anon": "weight"})
     risks = analyzer.annotate(lts, actors=["Researcher"])
-    print(risk_transition_table(lts))
+    risk_table = merge_risks(risks)
+    print(risk_transition_table(lts, risk_table))
     print()
     for risk in sorted(risks, key=lambda r: r.violations):
         print(" -", risk.describe())
@@ -111,7 +113,7 @@ def main():
     print()
 
     print("=== Fig. 4 as DOT (dotted = risk transitions) ===")
-    print(lts_to_dot(lts, "fig4"))
+    print(lts_to_dot(lts, "fig4", risks=risk_table))
 
 
 if __name__ == "__main__":

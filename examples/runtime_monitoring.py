@@ -4,9 +4,9 @@
 The paper's motivation (section I): privacy risks should be monitored
 "during the lifetime of the service". This example executes real
 service sessions over policy-enforced datastores, feeds the emitted
-events to a privacy monitor walking the risk-annotated LTS, and shows
-the alerts when a risk-annotated read actually happens — and when the
-system diverges from its model entirely.
+events to a privacy monitor walking the LTS with the user's risk
+table, and shows the alerts when a risk-annotated read actually
+happens — and when the system diverges from its model entirely.
 
 Run with ``python examples/runtime_monitoring.py``.
 """
@@ -31,7 +31,7 @@ def main():
     system = build_surgery_system()
     patient = surgery_patient("mr-jones")
 
-    # Design time: generate and risk-annotate the model for this user.
+    # Design time: generate the model and analyse it for this user.
     analyzer = DisclosureRiskAnalyzer(system)
     lts = ModelGenerator(system).generate(GenerationOptions(
         services=tuple(patient.agreed_services),
@@ -43,10 +43,12 @@ def main():
           f"({len(report.events)} risk events annotated)")
     print()
 
-    # Runtime: the monitor walks the annotated LTS live.
+    # Runtime: the monitor walks the LTS live, alerting from the
+    # report's risk table.
     monitor = PrivacyMonitor(lts,
                              acceptable_risk=patient.acceptable_risk,
-                             on_alert=lambda a: print("  !", a.describe()))
+                             on_alert=lambda a: print("  !", a.describe()),
+                             risks=report.annotations)
     runtime = ServiceRuntime(system, monitor=monitor)
 
     print("=== A normal Medical Service session ===")

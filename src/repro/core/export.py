@@ -12,12 +12,15 @@ configuration key.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .lts import LTS, Transition
+from .risk.report import RiskAnnotation
 
 
-def transition_to_dict(transition: Transition) -> Dict:
+def transition_to_dict(transition: Transition,
+                       risk: Optional[RiskAnnotation] = None) -> Dict:
+    """Serialize one transition, with its risk annotation if given."""
     label = transition.label
     data = {
         "tid": transition.tid,
@@ -33,8 +36,8 @@ def transition_to_dict(transition: Transition) -> Dict:
         "purpose": label.purpose,
         "flow": list(label.flow_key) if label.flow_key else None,
     }
-    if transition.risk is not None:
-        data["risk"] = _risk_annotation_to_dict(transition.risk)
+    if risk is not None:
+        data["risk"] = _risk_annotation_to_dict(risk)
     return data
 
 
@@ -67,8 +70,11 @@ def _risk_annotation_to_dict(annotation) -> Dict:
     return data
 
 
-def lts_to_dict(lts: LTS, include_variables: bool = True) -> Dict:
-    """Serialize an LTS (optionally with per-state true variables)."""
+def lts_to_dict(lts: LTS, include_variables: bool = True,
+                risks: Optional[Mapping[int, RiskAnnotation]] = None) -> Dict:
+    """Serialize an LTS (optionally with per-state true variables),
+    annotating transitions from the risk table ``risks``."""
+    risks = risks if risks is not None else {}
     states: List[Dict] = []
     for state in lts.states:
         entry: Dict = {"sid": state.sid}
@@ -84,14 +90,16 @@ def lts_to_dict(lts: LTS, include_variables: bool = True) -> Dict:
         "actors": list(lts.registry.actors),
         "fields": list(lts.registry.fields),
         "states": states,
-        "transitions": [transition_to_dict(t) for t in lts.transitions],
+        "transitions": [transition_to_dict(t, risks.get(t.tid))
+                        for t in lts.transitions],
         "stats": lts.stats(),
     }
 
 
 def lts_to_json(lts: LTS, indent: Optional[int] = 2,
-                include_variables: bool = True) -> str:
-    return json.dumps(lts_to_dict(lts, include_variables),
+                include_variables: bool = True,
+                risks: Optional[Mapping[int, RiskAnnotation]] = None) -> str:
+    return json.dumps(lts_to_dict(lts, include_variables, risks),
                       indent=indent)
 
 

@@ -2,10 +2,12 @@
 
 States represent the user's privacy (a :class:`PrivacyVector` over the
 has/could variables plus the underlying system configuration that
-produced it); transitions are privacy actions with full labels. Risk
-analysis later annotates transitions with
-:class:`~repro.core.risk.report.RiskAnnotation` objects — the optional
-"privacy risk measure" label of the paper.
+produced it); transitions are privacy actions with full labels. The
+paper's optional "privacy risk measure" label is not stored here: risk
+analyses read the LTS and return their
+:class:`~repro.core.risk.report.RiskAnnotation` objects as a side
+table keyed by transition id, so one LTS can carry any number of
+users' analyses.
 
 Transitions carry a *kind* so analyses and rendering can distinguish:
 
@@ -57,9 +59,10 @@ class State:
 
 
 class Transition:
-    """One labelled transition; ``risk`` is attached by analysis."""
+    """One labelled transition. Analyses key their risk annotations on
+    ``tid`` rather than writing them here."""
 
-    __slots__ = ("tid", "source", "target", "label", "kind", "risk")
+    __slots__ = ("tid", "source", "target", "label", "kind")
 
     def __init__(self, tid: int, source: int, target: int,
                  label: TransitionLabel,
@@ -69,14 +72,11 @@ class Transition:
         self.target = target
         self.label = label
         self.kind = kind
-        self.risk = None
 
     def describe(self) -> str:
         text = f"s{self.source} --{self.label.describe()}--> s{self.target}"
         if self.kind is not TransitionKind.FLOW:
             text += f" [{self.kind.value}]"
-        if self.risk is not None:
-            text += f" risk={self.risk.describe()}"
         return text
 
     def __repr__(self) -> str:
@@ -103,6 +103,15 @@ class LTS:
         self._in_views: Dict[int, Tuple[Transition, ...]] = {}
         self._succ_views: Dict[int, Tuple[int, ...]] = {}
         self._pred_views: Dict[int, Tuple[int, ...]] = {}
+
+    def __getstate__(self) -> dict:
+        # The views are caches, not content: an LTS pickles to the
+        # same bytes however much it has been read.
+        state = self.__dict__.copy()
+        state.update(_states_view=None, _transitions_view=None,
+                     _out_views={}, _in_views={}, _succ_views={},
+                     _pred_views={})
+        return state
 
     # -- construction -----------------------------------------------------
 
@@ -241,9 +250,6 @@ class LTS:
     def find_transitions(self, predicate: Callable[[Transition], bool]
                          ) -> Tuple[Transition, ...]:
         return tuple(t for t in self._transitions if predicate(t))
-
-    def risky_transitions(self) -> Tuple[Transition, ...]:
-        return tuple(t for t in self._transitions if t.risk is not None)
 
     # -- statistics ---------------------------------------------------------------------
 

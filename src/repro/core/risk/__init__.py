@@ -31,7 +31,12 @@ from .reidentify import (
     ReidentificationFinding,
     annotate_reidentification,
 )
-from .report import DisclosureRiskReport, RiskAnnotation, RiskEvent
+from .report import (
+    DisclosureRiskReport,
+    RiskAnnotation,
+    RiskEvent,
+    merge_risks,
+)
 from .scores import (
     FieldScore,
     ScoreWeights,
@@ -85,6 +90,7 @@ __all__ = [
     "DisclosureRiskReport",
     "RiskAnnotation",
     "RiskEvent",
+    "merge_risks",
     "SensitivityCategory",
     "SensitivityProfile",
     "categorize",

@@ -11,6 +11,7 @@ and what does the risk report look like afterwards?
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -124,16 +125,11 @@ def analyse_consent_change(system: SystemModel, user,
     def report_for(profile):
         if not profile.agreed_services:
             return None
-        if initial_store_contents is None:
-            return analyzer.analyse(profile)
-        from ..generation import GenerationOptions
-        options = GenerationOptions(
-            services=tuple(profile.agreed_services),
-            include_potential_reads=True,
-            potential_read_actors=frozenset(
-                profile.non_allowed_actors(system)),
-            initial_store_contents=dict(initial_store_contents),
-        )
+        options = analyzer.default_options(system, profile)
+        if initial_store_contents is not None:
+            options = dataclasses.replace(
+                options,
+                initial_store_contents=dict(initial_store_contents))
         return analyzer.analyse(profile, options=options)
 
     before_report = report_for(snapshot(before_services))

@@ -9,26 +9,34 @@ The analysis pipeline, per user:
    reads** by non-allowed actors — reads the access policy permits even
    though no agreed flow prescribes them (the Administrator's EHR
    access in IV.A).
-3. Annotate every transition with its *impact*: the maximum
-   sigma(d, a) over the state variables the transition newly sets,
-   measured against the absolute privacy state.
+3. Give every transition its *impact*: the maximum sigma(d, a) over
+   the state variables the transition newly sets, measured against
+   the absolute privacy state.
 4. For every ``read`` by a non-allowed actor, combine the impact with
    the scenario-based *likelihood* and look the pair up in the risk
    matrix. These become the report's risk events.
+
+Step 3 runs on the packed state masks. The variables a transition
+newly sets are ``target & ~source``; a per-user *level table* groups
+the registry's bits into one mask per distinct positive sigma(d, a),
+highest first, so the impact is the first level whose mask meets that
+delta. The LTS is only read: impacts travel in the report, which
+renders them as its risk table on demand.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from ...dfd.model import SystemModel
 from ...errors import AnalysisError
 from ..actions import ActionType
 from ..generation import GenerationOptions, ModelGenerator
-from ..lts import LTS, Transition
+from ..lts import LTS
+from ..statevars import VariableRegistry
 from .likelihood import LikelihoodModel
 from .matrix import RiskMatrix
-from .report import DisclosureRiskReport, RiskAnnotation, RiskEvent
+from .report import DisclosureRiskReport, RiskEvent
 
 
 class DisclosureRiskAnalyzer:
@@ -90,44 +98,74 @@ class DisclosureRiskAnalyzer:
         if lts is None:
             lts = self._generate(user, options)
 
+        levels = self._level_table(lts.registry, user, allowed)
+        masks = [state.vector.mask for state in lts.states]
+        datastores = self.system.datastores
+        # (actor, store, fields, impact) -> (assessment, breakdown):
+        # reads of one record by one actor repeat across interleavings.
+        scored: Dict[tuple, tuple] = {}
+        impacts: List[float] = []
         events = []
         for transition in lts.transitions:
-            impact = self._impact(lts, transition, user, allowed)
-            annotation = RiskAnnotation(
-                context=f"impact relative to absolute state: {impact:.3f}")
-            transition.risk = annotation
-            if not self._is_risk_event(transition, non_allowed):
-                # Non-read transitions keep the impact-only label; the
-                # paper attaches the risk *level* to reads.
-                if impact > 0.0:
-                    annotation.context = (
-                        f"potential exposure, impact={impact:.3f}")
+            delta = masks[transition.target] & ~masks[transition.source]
+            impact = 0.0
+            for level, mask in levels:
+                if delta & mask:
+                    impact = level
+                    break
+            impacts.append(impact)
+            label = transition.label
+            # The paper attaches the risk *level* to reads by
+            # non-allowed actors; other transitions keep their impact.
+            if label.action is not ActionType.READ or \
+                    label.actor not in non_allowed:
                 continue
-            store = transition.label.source \
-                if transition.label.source in self.system.datastores \
-                else None
-            likelihood = self.likelihood.probability(
-                transition.label.actor, store, transition.label.fields)
-            assessment = self.matrix.assess(impact, likelihood)
-            breakdown = tuple(self.likelihood.breakdown(
-                transition.label.actor, store, transition.label.fields))
-            annotation.assessment = assessment
-            annotation.scenario_breakdown = breakdown
-            annotation.context = ""
+            store = label.source if label.source in datastores else None
+            key = (label.actor, store, label.fields, impact)
+            pair = scored.get(key)
+            if pair is None:
+                likelihood = self.likelihood.probability(
+                    label.actor, store, label.fields)
+                pair = scored[key] = (
+                    self.matrix.assess(impact, likelihood),
+                    tuple(self.likelihood.breakdown(
+                        label.actor, store, label.fields)))
             events.append(RiskEvent(
                 transition=transition,
-                actor=transition.label.actor,
-                fields=transition.label.fields,
+                actor=label.actor,
+                fields=label.fields,
                 store=store,
-                assessment=assessment,
-                scenario_breakdown=breakdown,
+                assessment=pair[0],
+                scenario_breakdown=pair[1],
             ))
         return DisclosureRiskReport(
             user_name=user.name,
             allowed_actors=allowed,
             non_allowed_actors=non_allowed,
             events=events,
+            impacts=impacts,
         )
+
+    @staticmethod
+    def _level_table(registry: VariableRegistry, user, allowed
+                     ) -> Tuple[Tuple[float, int], ...]:
+        """The user's sigma(d, a) levels as ``(level, mask)`` pairs.
+
+        One mask per distinct positive level, highest first, covering
+        the has and could bits of every (actor, field) pair at that
+        level. Allowed actors' pairs are at zero and so in no mask.
+        """
+        by_level: Dict[float, int] = {}
+        sigma = user.sensitivity.sigma
+        for actor, field in registry.pairs:
+            if actor in allowed:
+                continue
+            level = sigma(field)
+            if level > 0.0:
+                by_level[level] = by_level.get(level, 0) | \
+                    registry.has_mask_of(actor, field) | \
+                    registry.could_mask_of(actor, field)
+        return tuple(sorted(by_level.items(), reverse=True))
 
     # -- steps -------------------------------------------------------------------
 
@@ -136,29 +174,6 @@ class DisclosureRiskAnalyzer:
         if options is None:
             options = self.default_options(self.system, user)
         return generator.generate(options)
-
-    def _impact(self, lts: LTS, transition: Transition, user,
-                allowed) -> float:
-        """Max sigma(d, a) over variables newly set by the transition.
-
-        "We define the change as the change that occurs relative to
-        the absolute privacy state": only the variables this transition
-        turns on contribute, each at its full sigma(d, a).
-        """
-        source_vector = lts.state(transition.source).vector
-        target_vector = lts.state(transition.target).vector
-        impact = 0.0
-        for variable in target_vector.newly_true_versus(source_vector):
-            sigma = user.sensitivity.sigma_for(
-                variable.field, variable.actor, allowed)
-            if sigma > impact:
-                impact = sigma
-        return impact
-
-    @staticmethod
-    def _is_risk_event(transition: Transition, non_allowed) -> bool:
-        return (transition.label.action is ActionType.READ and
-                transition.label.actor in non_allowed)
 
 
 def analyse_disclosure(system: SystemModel, user,

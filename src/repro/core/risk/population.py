@@ -51,8 +51,7 @@ so a deployment can audit *why* a model scores what it scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..._util import ascii_table
 from ...dfd.model import SystemModel
@@ -65,9 +64,10 @@ from .scores import (FieldScore, ScoreWeights, composite_score,
                      score_fields)
 
 
-@dataclass(frozen=True)
-class UserOutcome:
-    """One user's aggregated verdict."""
+class UserOutcome(NamedTuple):
+    """One user's aggregated verdict. A named tuple: the batch pass
+    builds one per user, and a frozen dataclass costs twice as much
+    to construct."""
 
     user_name: str
     max_level: RiskLevel
@@ -239,18 +239,13 @@ class PopulationAnalyzer:
                                 score_weights=weights)
 
     def _lts_for(self, user):
-        from ..generation import GenerationOptions, ModelGenerator
-        non_allowed = frozenset(user.non_allowed_actors(self.system))
-        key = (tuple(user.agreed_services), non_allowed)
+        from ..generation import ModelGenerator
+        options = DisclosureRiskAnalyzer.default_options(self.system, user)
+        key = (options.services, options.potential_read_actors)
         cached = self._lts_cache.get(key)
         if cached is None:
-            generator = ModelGenerator(self.system)
-            cached = generator.generate(GenerationOptions(
-                services=tuple(user.agreed_services),
-                include_potential_reads=True,
-                potential_read_actors=non_allowed,
-            ))
-            self._lts_cache[key] = cached
+            cached = self._lts_cache[key] = \
+                ModelGenerator(self.system).generate(options)
         return cached
 
 
@@ -312,18 +307,18 @@ class VectorizedPopulationAnalyzer:
         skipped: List[str] = []
         analysed = 0
         for index, user in enumerate(users):
-            if not user.agreed_services:
+            agreed = tuple(user.agreed_services)
+            if not agreed:
                 skipped.append(user.name)
                 continue
             analysed += 1
-            groups.setdefault(
-                tuple(user.agreed_services), []).append((index, user))
+            groups.setdefault(agreed, []).append((index, user))
 
         outcomes_by_index: Dict[int, UserOutcome] = {}
         hot_spot_counts: Dict[Tuple[str, str], int] = {}
         for agreed, members in groups.items():
             plan = self._plan_for(agreed, members[0][1])
-            self._evaluate_group(plan, members, outcomes_by_index)
+            self._evaluate_group(plan, agreed, members, outcomes_by_index)
             for pair in plan.hot_pairs:
                 hot_spot_counts[pair] = \
                     hot_spot_counts.get(pair, 0) + len(members)
@@ -351,16 +346,12 @@ class VectorizedPopulationAnalyzer:
     def _compile_plan(self, agreed: Tuple[str, ...], representative
                       ) -> _GroupPlan:
         from ...consent.personas import ConsentMaskCompiler
-        from ..generation import GenerationOptions, ModelGenerator
+        from ..generation import ModelGenerator
 
-        non_allowed = frozenset(
-            representative.non_allowed_actors(self.system))
-        generator = ModelGenerator(self.system)
-        lts = generator.generate(GenerationOptions(
-            services=agreed,
-            include_potential_reads=True,
-            potential_read_actors=non_allowed,
-        ))
+        options = DisclosureRiskAnalyzer.default_options(
+            self.system, representative)
+        non_allowed = options.potential_read_actors
+        lts = ModelGenerator(self.system).generate(options)
         registry = lts.registry
         if self._compiler is None:
             self._compiler = ConsentMaskCompiler(self.system, registry)
@@ -409,43 +400,37 @@ class VectorizedPopulationAnalyzer:
 
     # -- the batch pass -----------------------------------------------------
 
-    def _evaluate_group(self, plan: _GroupPlan, members,
+    def _evaluate_group(self, plan: _GroupPlan, agreed: Tuple[str, ...],
+                        members,
                         outcomes_by_index: Dict[int, UserOutcome]
                         ) -> None:
         impact_banding = self.matrix.impact_banding
         matrix_level = self.matrix.level
         fields_by_bit = plan.fields_by_bit
-        event_items = tuple(plan.event_counts.items())
+        ranks = {level: level.rank for level in RiskLevel}
+        by_rank = {rank: level for level, rank in ranks.items()}
+        # Each event key's field names, unpacked from its mask once per
+        # group rather than once per user.
+        events = tuple(
+            (tuple(field for bit, field in enumerate(fields_by_bit)
+                   if field_mask >> bit & 1), lik_cat, count)
+            for (field_mask, lik_cat), count in plan.event_counts.items())
         for index, user in members:
             sigma = user.sensitivity.sigma
-            acceptable = user.acceptable_risk
-            impact_by_mask: Dict[int, float] = {}
-            max_level = RiskLevel.NONE
-            unacceptable = 0
-            for (field_mask, lik_cat), count in event_items:
-                impact = impact_by_mask.get(field_mask)
-                if impact is None:
-                    impact = 0.0
-                    mask = field_mask
-                    while mask:
-                        low = mask & -mask
-                        value = sigma(
-                            fields_by_bit[low.bit_length() - 1])
-                        if value > impact:
-                            impact = value
-                        mask ^= low
-                    impact_by_mask[field_mask] = impact
-                level = matrix_level(
-                    impact_banding.categorize(impact), lik_cat)
-                if level > max_level:
-                    max_level = level
-                if level > acceptable:
+            acceptable = ranks[user.acceptable_risk]
+            max_rank = unacceptable = 0
+            for fields, lik_cat, count in events:
+                rank = ranks[matrix_level(impact_banding.categorize(
+                    max((0.0, *map(sigma, fields)))), lik_cat)]
+                if rank > max_rank:
+                    max_rank = rank
+                if rank > acceptable:
                     unacceptable += count
             outcomes_by_index[index] = UserOutcome(
                 user_name=user.name,
-                max_level=max_level,
+                max_level=by_rank[max_rank],
                 unacceptable_events=unacceptable,
-                agreed_services=tuple(user.agreed_services),
+                agreed_services=agreed,
             )
 
 

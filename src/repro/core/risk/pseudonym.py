@@ -7,10 +7,13 @@ has access rights to f_anon and not f, transitions will be added to
 the LTS starting from each of these at-risk states."
 
 This analyzer finds the at-risk states, injects the *risk transitions*
-(``read f`` by the actor — rendered dotted in Fig. 4), and labels each
-with a value-risk score computed from data when data is available
+(``read f`` by the actor — rendered dotted in Fig. 4), and scores each
+with a value-risk result computed from data when data is available
 ("simulated data can be used at design time, whereas the model can be
-applied to the running system").
+applied to the running system"). Each returned
+:class:`PseudonymisationRisk` carries the transition's risk
+annotation; :func:`~repro.core.risk.report.merge_risks` turns the list
+into a risk table.
 """
 
 from __future__ import annotations
@@ -30,6 +33,20 @@ from .report import RiskAnnotation
 from .valuerisk import ValueRiskPolicy, ValueRiskResult, value_risk
 
 
+def record_column(field_map: Optional[Mapping[str, str]],
+                  lts_field: str) -> str:
+    """The dataset column scoring ``lts_field``: its entry in
+    ``field_map`` when one is given, else the field without its
+    ``_anon`` suffix."""
+    if field_map is None:
+        return original_name(lts_field)
+    try:
+        return field_map[lts_field]
+    except KeyError:
+        raise AnalysisError(
+            f"record_field_map has no entry for {lts_field!r}") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class PseudonymisationRisk:
     """One injected risk transition with its scoring context."""
@@ -39,6 +56,18 @@ class PseudonymisationRisk:
     sensitive_field: str
     fields_read: Tuple[str, ...]
     result: Optional[ValueRiskResult]
+
+    @property
+    def annotation(self) -> RiskAnnotation:
+        """This risk's entry in a risk table: the value-risk result
+        and the fields the inference draws on."""
+        return RiskAnnotation(
+            value_risk=self.result,
+            context=(
+                f"inference of {self.sensitive_field!r} by {self.actor} "
+                f"given {list(self.fields_read)}"
+            ),
+        )
 
     @property
     def violations(self) -> Optional[int]:
@@ -106,16 +135,6 @@ class PseudonymisationRiskAnalyzer:
 
     # -- helpers ------------------------------------------------------------
 
-    def _map_field(self, lts_field: str) -> str:
-        if self._field_map is not None:
-            try:
-                return self._field_map[lts_field]
-            except KeyError:
-                raise AnalysisError(
-                    f"record_field_map has no entry for {lts_field!r}"
-                ) from None
-        return original_name(lts_field)
-
     def _actor_lacks_raw_access(self, actor: str, field: str) -> bool:
         """"If a only has access rights to f_anon and not f"."""
         for store in self.system.datastores.values():
@@ -128,7 +147,8 @@ class PseudonymisationRiskAnalyzer:
                ) -> Optional[ValueRiskResult]:
         if self.dataset is None:
             return None
-        mapped = tuple(self._map_field(f) for f in fields_read)
+        mapped = tuple(record_column(self._field_map, f)
+                       for f in fields_read)
         return value_risk(self.dataset, mapped, self.policy)
 
     # -- main entry point -----------------------------------------------------
@@ -139,8 +159,8 @@ class PseudonymisationRiskAnalyzer:
         """Inject risk transitions into ``lts`` (in place).
 
         ``actors`` restricts the analysis (default: every actor in the
-        registry). Returns the injected risks; each transition carries
-        a :class:`RiskAnnotation` with the value-risk result.
+        registry). Returns the injected risks; each carries the
+        :class:`RiskAnnotation` of its transition.
         """
         sensitive = self.policy.sensitive_field
         sensitive_anon = anon_name(sensitive)
@@ -188,14 +208,6 @@ class PseudonymisationRiskAnalyzer:
                 purpose="value inference from pseudonymised data")
             transition = lts.add_transition(
                 state.sid, target_sid, label, TransitionKind.RISK)
-            annotation = RiskAnnotation(
-                value_risk=result,
-                context=(
-                    f"inference of {sensitive!r} by {actor} given "
-                    f"{list(fields_read)}"
-                ),
-            )
-            transition.risk = annotation
             risks.append(PseudonymisationRisk(
                 transition=transition,
                 actor=actor,

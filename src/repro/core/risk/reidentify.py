@@ -5,10 +5,11 @@ re-identification risks following the prosecutor, journalist and
 marketer attacker models ... in our approach we seek to integrate
 similar capabilities into our methodology." This module does that
 integration: every transition in which an actor reads pseudonymised
-fields gets annotated with the re-identification risk of the released
+fields is scored with the re-identification risk of the released
 dataset *as visible through those fields* — so the model shows not
 just value risk (§III.B) but how close the release is to naming the
-subject outright.
+subject outright. The findings carry their annotations; the LTS is
+only read.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from ...anonymize.reidentification import (
 )
 from ...datastore import Record
 from ...errors import AnalysisError
-from ...schema import is_anon_name, original_name
+from ...schema import is_anon_name
 from ..actions import ActionType
 from ..lts import LTS, Transition
+from .pseudonym import record_column
+from .report import RiskAnnotation
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class ReidentificationFinding:
                          f"journalist max "
                          f"{self.journalist.highest_risk:.2f}")
         return " ".join(parts)
+
+    @property
+    def annotation(self) -> RiskAnnotation:
+        """This finding's entry in a risk table; merged onto an
+        existing annotation its note extends the context."""
+        return RiskAnnotation(context=self.describe())
 
     @property
     def worst_risk(self) -> float:
@@ -118,24 +127,14 @@ class ReidentificationAnnotator:
             self.threshold,
         )
 
-    def _map_field(self, lts_field: str) -> str:
-        if self._field_map is not None:
-            try:
-                return self._field_map[lts_field]
-            except KeyError:
-                raise AnalysisError(
-                    f"record_field_map has no entry for {lts_field!r}"
-                ) from None
-        return original_name(lts_field)
-
     def annotate(self, lts: LTS,
                  actors: Optional[Sequence[str]] = None
                  ) -> List[ReidentificationFinding]:
         """Score every read of pseudonymised fields in ``lts``.
 
-        Findings are attached to the transitions' existing risk
-        annotations (creating one when absent) via the ``context``
-        text, and returned for programmatic use.
+        The LTS is not modified. Each finding carries its annotation;
+        ``merge_risks(table, findings)`` appends the notes to the
+        contexts of an existing risk table.
         """
         wanted = set(actors) if actors is not None else None
         findings: List[ReidentificationFinding] = []
@@ -155,7 +154,8 @@ class ReidentificationAnnotator:
 
     def _score(self, transition: Transition,
                anon_fields: Tuple[str, ...]) -> ReidentificationFinding:
-        quasi = tuple(self._map_field(f) for f in anon_fields)
+        quasi = tuple(record_column(self._field_map, f)
+                      for f in anon_fields)
         prosecutor = prosecutor_risk(self.dataset, quasi,
                                      self.threshold)
         journalist = None
@@ -163,7 +163,7 @@ class ReidentificationAnnotator:
             journalist = journalist_risk(self.dataset, self.population,
                                          quasi, self.threshold)
         marketer = marketer_risk(self.dataset, quasi)
-        finding = ReidentificationFinding(
+        return ReidentificationFinding(
             transition=transition,
             actor=transition.label.actor,
             quasi_identifiers=quasi,
@@ -171,20 +171,6 @@ class ReidentificationAnnotator:
             journalist=journalist,
             marketer=marketer,
         )
-        self._attach(transition, finding)
-        return finding
-
-    @staticmethod
-    def _attach(transition: Transition,
-                finding: ReidentificationFinding) -> None:
-        from .report import RiskAnnotation
-        if transition.risk is None:
-            transition.risk = RiskAnnotation()
-        note = finding.describe()
-        if transition.risk.context:
-            transition.risk.context += "; " + note
-        else:
-            transition.risk.context = note
 
 
 def annotate_reidentification(lts: LTS, dataset: Sequence[Record],

@@ -157,8 +157,9 @@ class AnalysisKind:
 
     def analyse(self, job: AnalysisJob, lts: Optional[LTS],
                 config: AnalyzerConfig) -> KindOutcome:
-        """Run the analysis; ``lts`` is a private instance (kinds may
-        mutate it) and None when :attr:`uses_lts` is False."""
+        """Run the analysis; ``lts`` is a private instance (only the
+        pseudonym kind mutates it, injecting risk transitions) and None
+        when :attr:`uses_lts` is False."""
         raise NotImplementedError
 
     def screen_outcome(self, job: AnalysisJob,

@@ -148,10 +148,11 @@ def _run_analysis(job: AnalysisJob, fingerprint: str,
     generated = False
     if kind.uses_lts:
         key = lts_cache_key(job.system, options, model_fp=model_fp)
-        # The memo stores pickled blobs, not live objects: analysis
-        # writes risk annotations (and pseudonym jobs inject
-        # transitions) onto the LTS it is handed, so every job must get
-        # a private instance (and thread workers must never share one).
+        # The memo stores pickled blobs, not live objects. Analyses
+        # only read the LTS, except pseudonym jobs, which inject their
+        # risk transitions into it; until that becomes an overlay,
+        # every job gets a private instance (and thread workers never
+        # share one).
         blob = lts_cache.get(key) if lts_cache is not None else None
         if blob is not None and not isinstance(blob, bytes):
             blob = None          # foreign/legacy entry: treat as miss

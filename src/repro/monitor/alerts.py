@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..core.lts import Transition
 from ..core.risk.matrix import RiskLevel
+from ..core.risk.report import RiskAnnotation
 from .events import ObservedEvent
 
 
@@ -56,10 +57,12 @@ class DivergenceAlert(Alert):
 
 
 def risk_alert(transition: Transition, event: ObservedEvent,
-               acceptable: RiskLevel) -> RiskAlert:
-    """Build a risk alert graded against the user's acceptable level."""
-    level = transition.risk.level if transition.risk is not None \
-        else RiskLevel.NONE
+               acceptable: RiskLevel,
+               risks: Mapping[int, RiskAnnotation]) -> RiskAlert:
+    """Build a risk alert graded against the user's acceptable level,
+    at the level the risk table ``risks`` gives the transition."""
+    risk = risks.get(transition.tid)
+    level = risk.level if risk is not None else RiskLevel.NONE
     severity = AlertSeverity.CRITICAL if level > acceptable \
         else AlertSeverity.WARNING
     return RiskAlert(

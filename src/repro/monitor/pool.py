@@ -3,7 +3,8 @@
 A deployed service has one privacy-state instance *per user* (paper
 §III). The :class:`MonitorPool` manages that fleet: it lazily creates
 one :class:`~repro.monitor.tracker.PrivacyMonitor` per user over a
-shared risk-annotated LTS (one per consent combination, cached), routes
+shared LTS (one per consent combination, cached) and a risk table (one
+per consent combination and sensitivity profile, cached), routes
 events by user id, and aggregates alerts — the operational surface of
 "monitor the privacy risks during the lifetime of the service".
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.generation import GenerationOptions, ModelGenerator
+from ..core.generation import ModelGenerator
 from ..core.risk.disclosure import DisclosureRiskAnalyzer
 from ..dfd.model import SystemModel
 from ..errors import MonitorError
@@ -22,7 +23,7 @@ from .tracker import PrivacyMonitor
 
 
 class MonitorPool:
-    """Per-user privacy monitors over shared annotated models.
+    """Per-user privacy monitors over shared models and risk tables.
 
     Parameters
     ----------
@@ -45,8 +46,8 @@ class MonitorPool:
         self._generator = ModelGenerator(system)
         self._on_alert = on_alert
         self._monitors: Dict[str, PrivacyMonitor] = {}
-        self._profiles: Dict[str, object] = {}
         self._lts_cache: Dict[Tuple, object] = {}
+        self._risk_cache: Dict[Tuple, object] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -54,8 +55,9 @@ class MonitorPool:
         """Create (or return) the monitor for ``user``.
 
         The user's LTS is generated from their agreed services with
-        potential reads for their non-allowed actors, risk-annotated
-        for them, and cached by consent combination.
+        potential reads for their non-allowed actors and cached by
+        consent combination; the user's risk table over it is cached
+        by consent combination and sensitivity profile.
         """
         existing = self._monitors.get(user.name)
         if existing is not None:
@@ -65,44 +67,43 @@ class MonitorPool:
                 f"user {user.name!r} has not agreed to any service; "
                 "there is no behaviour to monitor"
             )
-        lts = self._annotated_lts(user)
+        lts, risks = self._analysed_lts(user)
         monitor = PrivacyMonitor(
             lts,
             acceptable_risk=user.acceptable_risk,
             on_alert=self._make_alert_handler(user.name),
+            risks=risks,
         )
         self._monitors[user.name] = monitor
-        self._profiles[user.name] = user
         return monitor
 
-    def _annotated_lts(self, user):
-        """One annotated LTS per *privacy-equivalent* user group.
+    def _analysed_lts(self, user):
+        """The user's LTS and risk table, each shared as widely as it
+        can be.
 
-        Risk annotations depend on the user's sensitivities, so the
-        cache key includes the sensitivity fingerprint — users with the
-        same consents and sigmas share one annotated LTS; anyone else
-        gets their own generation (annotating a shared LTS for a
-        different user would silently overwrite the first user's risk
-        labels).
+        Generation depends only on the agreed services and the
+        non-allowed actors, so every user with the same consents
+        shares one LTS. The risk table also depends on the
+        sensitivities, so it is shared only by users whose consents
+        and sigmas both match. The acceptable risk level keys
+        neither: it grades alerts in each user's own monitor.
         """
-        non_allowed = frozenset(user.non_allowed_actors(self.system))
-        fingerprint = (
-            tuple(user.agreed_services),
-            non_allowed,
+        options = self._analyzer.default_options(self.system, user)
+        lts_key = (options.services, options.potential_read_actors)
+        lts = self._lts_cache.get(lts_key)
+        if lts is None:
+            lts = self._lts_cache[lts_key] = \
+                self._generator.generate(options)
+        risk_key = (
+            lts_key,
             tuple(sorted(user.sensitivity.as_dict().items())),
             user.sensitivity.default,
-            user.acceptable_risk,
         )
-        lts = self._lts_cache.get(fingerprint)
-        if lts is None:
-            lts = self._generator.generate(GenerationOptions(
-                services=tuple(user.agreed_services),
-                include_potential_reads=True,
-                potential_read_actors=non_allowed,
-            ))
-            self._analyzer.analyse(user, lts=lts)
-            self._lts_cache[fingerprint] = lts
-        return lts
+        risks = self._risk_cache.get(risk_key)
+        if risks is None:
+            risks = self._risk_cache[risk_key] = \
+                self._analyzer.analyse(user, lts=lts).annotations
+        return lts, risks
 
     def _make_alert_handler(self, user_name: str):
         def handler(alert: Alert) -> None:

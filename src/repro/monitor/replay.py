@@ -3,7 +3,7 @@
 Runtime datastores record every operation (actor, permission, fields,
 counts). This module converts those trails back into
 :class:`~repro.monitor.events.ObservedEvent` streams and replays them
-against a (risk-annotated) LTS — post-hoc analysis of a system that
+against an LTS and its risk table — post-hoc analysis of a system that
 ran *without* a live monitor attached, which is how the paper's method
 would be retrofitted onto an existing deployment.
 """

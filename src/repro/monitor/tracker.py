@@ -2,17 +2,19 @@
 
 A :class:`PrivacyMonitor` holds the current LTS state of one user's
 privacy and advances it as runtime events arrive. It raises alerts
-when risk-annotated transitions are actually taken and when the system
-diverges from its model — turning the design-time artefact into the
-lifetime monitoring instrument the paper's introduction promises.
+when transitions the user's risk table annotates are actually taken
+and when the system diverges from its model — turning the design-time
+artefact into the lifetime monitoring instrument the paper's
+introduction promises.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..core.lts import LTS, Transition
 from ..core.risk.matrix import RiskLevel
+from ..core.risk.report import RiskAnnotation
 from ..errors import UnknownEventError
 from .alerts import Alert, divergence_alert, risk_alert
 from .events import ObservedEvent
@@ -24,7 +26,7 @@ class PrivacyMonitor:
     Parameters
     ----------
     lts:
-        The (possibly risk-annotated) model to track against.
+        The model to track against.
     acceptable_risk:
         Risk level above which a taken risk transition is CRITICAL
         (typically ``user.acceptable_risk``).
@@ -34,13 +36,19 @@ class PrivacyMonitor:
         divergence alert is recorded and the state stays put.
     on_alert:
         Optional callback invoked with every alert as it is raised.
+    risks:
+        The user's risk table over ``lts`` (transition id ->
+        annotation), e.g. a disclosure report's ``annotations``;
+        taking a transition it rates above NONE raises a risk alert.
     """
 
     def __init__(self, lts: LTS,
                  acceptable_risk: RiskLevel = RiskLevel.LOW,
                  strict: bool = False,
-                 on_alert: Optional[Callable[[Alert], None]] = None):
+                 on_alert: Optional[Callable[[Alert], None]] = None,
+                 risks: Optional[Mapping[int, RiskAnnotation]] = None):
         self.lts = lts
+        self.risks = risks if risks is not None else {}
         self.acceptable_risk = RiskLevel.from_name(acceptable_risk)
         self.strict = strict
         self._on_alert = on_alert
@@ -83,10 +91,10 @@ class PrivacyMonitor:
             return None
         self._current = matched.target
         self._trace.append(matched)
-        if matched.risk is not None and \
-                matched.risk.level is not RiskLevel.NONE:
-            self._raise_alert(
-                risk_alert(matched, event, self.acceptable_risk))
+        risk = self.risks.get(matched.tid)
+        if risk is not None and risk.level is not RiskLevel.NONE:
+            self._raise_alert(risk_alert(
+                matched, event, self.acceptable_risk, self.risks))
         return matched
 
     def observe_all(self, events) -> List[Optional[Transition]]:

@@ -3,24 +3,29 @@
 States are circles named ``s0, s1, ...`` (the sixty state variables
 are suppressed exactly as the paper does for Fig. 3 — pass
 ``show_variables=True`` to include the true variables of each state).
-Risk transitions are drawn dotted, as in Fig. 4, and labelled with
-their violation counts when scored.
+Risk transitions are drawn dotted, as in Fig. 4. Pass a risk table
+(``risks``, transition id -> annotation) to label transitions with
+their risk, e.g. the violation counts of scored risk transitions.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from ..core.lts import LTS, Transition, TransitionKind
+from ..core.risk.report import RiskAnnotation
 
 
 def _quote(value: str) -> str:
     return '"' + value.replace('"', '\\"') + '"'
 
 
-def _transition_attrs(transition: Transition) -> str:
+def _transition_attrs(transition: Transition,
+                      risk: Optional[RiskAnnotation]) -> str:
     label = transition.label.describe()
     attrs = []
-    if transition.risk is not None:
-        extra = transition.risk.describe()
+    if risk is not None:
+        extra = risk.describe()
         if extra and extra != "<unscored>":
             label += "\\n" + extra
     attrs.append(f"label={_quote(label)}")
@@ -34,8 +39,10 @@ def _transition_attrs(transition: Transition) -> str:
 
 def lts_to_dot(lts: LTS, graph_name: str = "privacy_lts",
                show_variables: bool = False,
-               max_label_variables: int = 8) -> str:
-    """Render the LTS as DOT text."""
+               max_label_variables: int = 8,
+               risks: Optional[Mapping[int, RiskAnnotation]] = None) -> str:
+    """Render the LTS as DOT text, labelled from the risk table."""
+    risks = risks if risks is not None else {}
     lines = [
         f"digraph {_quote(graph_name)} {{",
         "  rankdir=LR;",
@@ -61,7 +68,7 @@ def lts_to_dot(lts: LTS, graph_name: str = "privacy_lts",
         lines.append(
             f"  {_quote(f's{transition.source}')} -> "
             f"{_quote(f's{transition.target}')} "
-            f"[{_transition_attrs(transition)}];"
+            f"[{_transition_attrs(transition, risks.get(transition.tid))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

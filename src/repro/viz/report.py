@@ -6,9 +6,12 @@ text so examples and benches can print paper-comparable artefacts.
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from .._util import ascii_table
 from ..core.lts import LTS, State
 from ..core.reachability import identification_report
+from ..core.risk.report import RiskAnnotation
 
 
 def state_variable_table(state: State,
@@ -59,17 +62,24 @@ def lts_digest(lts: LTS, name: str = "LTS") -> str:
     )
 
 
-def risk_transition_table(lts: LTS) -> str:
-    """All risk-annotated transitions with their labels and scores."""
+def risk_transition_table(lts: LTS,
+                          risks: Optional[Mapping[int, RiskAnnotation]] = None
+                          ) -> str:
+    """Every transition of the risk table (transition id ->
+    annotation), in transition order, with its label and score."""
+    risks = risks if risks is not None else {}
     rows = []
-    for transition in lts.risky_transitions():
+    for transition in lts.transitions:
+        risk = risks.get(transition.tid)
+        if risk is None:
+            continue
         rows.append((
             f"s{transition.source}->s{transition.target}",
             transition.label.action.value,
             transition.label.actor,
             ", ".join(transition.label.fields),
             transition.kind.value,
-            transition.risk.describe(),
+            risk.describe(),
         ))
     if not rows:
         rows = [("-", "-", "-", "-", "-", "-")]

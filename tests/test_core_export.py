@@ -73,10 +73,14 @@ class TestRiskExport:
                 services=("MedicalService",),
                 include_potential_reads=True,
                 potential_read_actors=frozenset(non_allowed)))
-        analyzer.analyse(patient, lts=lts)
-        risky = lts.risky_transitions()
-        exported = transition_to_dict(risky[0])
-        assert "risk" in exported
+        report = analyzer.analyse(patient, lts=lts)
+        event = report.events[0]
+        exported = transition_to_dict(
+            event.transition, report.annotations[event.transition.tid])
+        assert exported["risk"]["level"] == "medium"
+        assert "risk" not in transition_to_dict(event.transition)
+        data = lts_to_dict(lts, risks=report.annotations)
+        assert all("risk" in t for t in data["transitions"])
 
     def test_pseudonymisation_risks(self, research_system,
                                     weight_policy, table1):

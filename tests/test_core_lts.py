@@ -102,15 +102,6 @@ class TestLTS:
         assert len(lts.find_transitions(
             lambda t: t.label.action is ActionType.COLLECT)) == 1
 
-    def test_risky_transitions_initially_empty(self, registry):
-        lts = LTS(registry)
-        a, _ = lts.add_state("a", registry.empty_vector())
-        b, _ = lts.add_state("b", registry.empty_vector())
-        transition = lts.add_transition(a, b, _label())
-        assert lts.risky_transitions() == ()
-        transition.risk = object()
-        assert lts.risky_transitions() == (transition,)
-
     def test_stats(self, registry):
         lts = LTS(registry)
         a, _ = lts.add_state("a", registry.empty_vector())

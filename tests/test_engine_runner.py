@@ -190,6 +190,45 @@ class TestStaleLtsBlobs:
         assert [r.signature() for r in recovered.results] == \
             [r.signature() for r in clean.results]
 
+    def test_blob_with_transition_risk_slot_regenerates(self):
+        """An LTS pickled when ``Transition`` still had its ``risk``
+        slot fails to load (the slot no longer exists) and is
+        regenerated and overwritten; the job's result is unchanged."""
+        import copyreg
+        import io
+        import pickle
+        from repro.core import ModelGenerator
+        from repro.core.lts import Transition
+        from repro.engine.fingerprint import lts_cache_key
+
+        class OldLayoutPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not Transition:
+                    return NotImplemented
+                slots = {name: getattr(obj, name)
+                         for name in Transition.__slots__}
+                slots["risk"] = None
+                return copyreg.__newobj__, (Transition,), (None, slots)
+
+        job = _jobs(1)[0]
+        options = resolve_options(job)
+        buffer = io.BytesIO()
+        OldLayoutPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
+            ModelGenerator(job.system).generate(options))
+        with pytest.raises(AttributeError):
+            pickle.loads(buffer.getvalue())
+
+        clean = BatchEngine(backend="serial").run([job])
+        engine = BatchEngine(backend="serial")
+        key = lts_cache_key(job.system, options)
+        engine.lts_cache.put(key, buffer.getvalue())
+        recovered = engine.run([job])
+        assert recovered.stats.lts_generations == 1
+        assert recovered.results[0].signature() == \
+            clean.results[0].signature()
+        assert engine.lts_cache.get(key) != buffer.getvalue()
+        assert pickle.loads(engine.lts_cache.get(key)) is not None
+
 
 class TestBackendRegistry:
     """The pluggable backend protocol behind BatchEngine."""

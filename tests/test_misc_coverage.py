@@ -22,28 +22,30 @@ class TestAlertGrading:
         from repro.core.risk import RiskMatrix
         matrix = RiskMatrix.example()
         impact = {"low": 0.2, "medium": 0.5, "high": 0.9}[level]
-        transition.risk = RiskAnnotation(
-            assessment=matrix.assess(impact, 0.05))
-        return transition
+        risks = {transition.tid: RiskAnnotation(
+            assessment=matrix.assess(impact, 0.05))}
+        return transition, risks
 
     def test_risk_below_acceptable_is_warning(self, medical_lts):
-        transition = self._annotated_transition(medical_lts, "low")
+        transition, risks = self._annotated_transition(medical_lts, "low")
         event = disclose_event("A", "B", ["x"])
-        alert = risk_alert(transition, event, RiskLevel.MEDIUM)
+        alert = risk_alert(transition, event, RiskLevel.MEDIUM, risks)
         assert alert.severity is AlertSeverity.WARNING
 
     def test_risk_above_acceptable_is_critical(self, medical_lts):
-        transition = self._annotated_transition(medical_lts, "high")
+        transition, risks = self._annotated_transition(medical_lts,
+                                                       "high")
         event = disclose_event("A", "B", ["x"])
-        alert = risk_alert(transition, event, RiskLevel.LOW)
+        alert = risk_alert(transition, event, RiskLevel.LOW, risks)
         assert alert.severity is AlertSeverity.CRITICAL
         assert alert.level is RiskLevel.MEDIUM  # high x low -> medium
 
     def test_alert_describe(self, medical_lts):
-        transition = self._annotated_transition(medical_lts, "high")
+        transition, risks = self._annotated_transition(medical_lts,
+                                                       "high")
         alert = risk_alert(transition,
                            disclose_event("A", "B", ["x"]),
-                           RiskLevel.LOW)
+                           RiskLevel.LOW, risks)
         assert "[CRITICAL]" in alert.describe()
 
 

@@ -79,22 +79,16 @@ class TestPrivacyMonitor:
     def test_risk_alert_on_annotated_transition(self, surgery_system):
         patient = surgery_patient()
         analyzer = DisclosureRiskAnalyzer(surgery_system)
-        report = analyzer.analyse(patient)
-        lts = report.events[0].transition  # get the annotated LTS
-        # regenerate via analyzer to fetch the LTS the events reference
-        # (events hold transitions of the generated LTS)
-        annotated_lts = None
-        # The transition knows its LTS only implicitly; rebuild:
         non_allowed = patient.non_allowed_actors(surgery_system)
         from repro.core import ModelGenerator
-        annotated_lts = ModelGenerator(surgery_system).generate(
+        lts = ModelGenerator(surgery_system).generate(
             GenerationOptions(
                 services=(MEDICAL_SERVICE,),
                 include_potential_reads=True,
                 potential_read_actors=frozenset(non_allowed)))
-        analyzer.analyse(patient, lts=annotated_lts)
-        monitor = PrivacyMonitor(annotated_lts,
-                                 acceptable_risk=RiskLevel.LOW)
+        report = analyzer.analyse(patient, lts=lts)
+        monitor = PrivacyMonitor(lts, acceptable_risk=RiskLevel.LOW,
+                                 risks=report.annotations)
         runtime = ServiceRuntime(surgery_system, monitor=monitor)
         runtime.run_service(MEDICAL_SERVICE, USER_VALUES)
         # now the administrator actually reads the EHR

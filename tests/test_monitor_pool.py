@@ -70,9 +70,45 @@ class TestMonitorPool:
                               default_sensitivity=0.05,
                               acceptable_risk="high")
         pool.register(relaxed)
-        assert len(pool._lts_cache) == 2
-        assert pool.monitor_for("p1").lts is not \
-            pool.monitor_for("p2").lts
+        # one generation serves both; the risk tables stay per-sigma
+        assert len(pool._lts_cache) == 1
+        assert pool.monitor_for("p1").lts is pool.monitor_for("p2").lts
+        assert pool.monitor_for("p1").risks is not \
+            pool.monitor_for("p2").risks
+
+    def test_sensitivities_share_one_generation(self, surgery_system,
+                                                monkeypatch):
+        """Sigmas do not affect generation: two users with the same
+        consents and different sensitivities cost one generation, and
+        each user's alerts are graded by their own risk table."""
+        from repro.core import ModelGenerator
+        from repro.core.risk import RiskLevel
+        from repro.monitor import AlertSeverity
+        generations = []
+        original = ModelGenerator.generate
+
+        def counting(self, options=None):
+            generations.append(options)
+            return original(self, options)
+
+        monkeypatch.setattr(ModelGenerator, "generate", counting)
+        pool = MonitorPool(surgery_system)
+        sensitive = surgery_patient("sensitive")
+        relaxed = UserProfile("relaxed",
+                              agreed_services=[MEDICAL_SERVICE],
+                              default_sensitivity=0.05,
+                              acceptable_risk=sensitive.acceptable_risk)
+        pool.register(sensitive)
+        pool.register(relaxed)
+        assert len(generations) == 1
+        _run_session(surgery_system, pool, sensitive)
+        _run_session(surgery_system, pool, relaxed)
+        pool.broadcast(ADMIN_READ)
+        alerts = dict(pool.all_alerts())
+        assert alerts["sensitive"].level is RiskLevel.MEDIUM
+        assert alerts["sensitive"].severity is AlertSeverity.CRITICAL
+        assert alerts["relaxed"].level is RiskLevel.LOW
+        assert alerts["relaxed"].severity is AlertSeverity.WARNING
 
     def test_per_user_risk_grading(self, surgery_system):
         """The same admin read is CRITICAL for the sensitive user and

@@ -74,7 +74,7 @@ class TestReplay:
                 include_potential_reads=True,
                 potential_read_actors=frozenset(
                     patient.non_allowed_actors(surgery_system))))
-        analyzer.analyse(patient, lts=lts)
+        report = analyzer.analyse(patient, lts=lts)
 
         # live run without a monitor, then an admin read
         runtime = ServiceRuntime(surgery_system)
@@ -84,7 +84,7 @@ class TestReplay:
             ["diagnosis", "dob", "medical_issues", "name", "treatment"])
 
         # post-hoc: replay live flow events, then the admin audit read
-        monitor = PrivacyMonitor(lts)
+        monitor = PrivacyMonitor(lts, risks=report.annotations)
         replay(monitor, live_events)
         audit_events = events_from_audit(runtime.store("EHR"))
         admin_reads = [e for e in audit_events

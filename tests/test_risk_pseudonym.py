@@ -49,7 +49,7 @@ class TestRiskTransitionInjection:
             assert risk.transition.kind is TransitionKind.RISK
             assert risk.transition.label.action is ActionType.READ
             assert risk.transition.label.fields == ("weight",)
-            assert risk.transition.risk is not None
+            assert risk.annotation.value_risk is risk.result
 
     def test_target_state_has_sensitive_field(self, research_lts,
                                               analyzer):

@@ -10,6 +10,7 @@ from repro.core import generate_lts
 from repro.core.risk import (
     ReidentificationAnnotator,
     annotate_reidentification,
+    merge_risks,
 )
 from repro.errors import AnalysisError
 
@@ -41,23 +42,49 @@ class TestAnnotator:
     def test_annotation_attached_to_transition(self, research_lts,
                                                table1):
         findings = annotate_reidentification(research_lts, table1)
+        risks = merge_risks(findings)
         for finding in findings:
-            assert finding.transition.risk is not None
-            assert "prosecutor" in finding.transition.risk.context
+            assert "prosecutor" in risks[finding.transition.tid].context
 
     def test_existing_annotation_extended_not_replaced(
             self, research_system, research_lts, table1, weight_policy):
         from repro.core.risk import PseudonymisationRiskAnalyzer
-        PseudonymisationRiskAnalyzer(
+        pseudonym = PseudonymisationRiskAnalyzer(
             research_system, weight_policy,
             dataset=table1).annotate(research_lts,
                                      actors=["Researcher"])
         findings = annotate_reidentification(research_lts, table1)
         assert findings
+        risks = merge_risks(pseudonym, findings)
         # value-risk annotations on risk transitions survive
-        risky = [t for t in research_lts.transitions
-                 if t.risk is not None and t.risk.value_risk is not None]
-        assert risky
+        risky = [tid for tid, risk in risks.items()
+                 if risk.value_risk is not None]
+        assert sorted(risky) == sorted(r.transition.tid for r in pseudonym)
+
+    def test_note_extends_disclosure_annotation(self, research_system,
+                                                research_lts, table1):
+        """Merged onto a disclosure risk table, a re-identification
+        note is appended to the transition's context after "; "."""
+        from repro.consent import UserProfile
+        from repro.core.risk import DisclosureRiskAnalyzer
+        user = UserProfile("u", agreed_services=["HealthCheckService"],
+                           default_sensitivity=0.3)
+        report = DisclosureRiskAnalyzer(research_system).analyse(
+            user, lts=research_lts)
+        findings = annotate_reidentification(research_lts, table1)
+        risks = merge_risks(report.annotations, findings)
+        for finding in findings:
+            tid = finding.transition.tid
+            before = report.annotations[tid]
+            merged = risks[tid]
+            assert merged.assessment is before.assessment
+            expected = "; ".join(
+                c for c in (before.context, finding.describe()) if c)
+            assert merged.context == expected
+        untouched = set(report.annotations) - \
+            {f.transition.tid for f in findings}
+        assert all(risks[tid] is report.annotations[tid]
+                   for tid in untouched)
 
     def test_journalist_model_with_population(self, research_lts):
         sample = table1_records()

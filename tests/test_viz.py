@@ -4,7 +4,11 @@ import pytest
 
 from repro.casestudies import table1_records
 from repro.core import GenerationOptions, generate_lts
-from repro.core.risk import PseudonymisationRiskAnalyzer, ValueRiskPolicy
+from repro.core.risk import (
+    PseudonymisationRiskAnalyzer,
+    ValueRiskPolicy,
+    merge_risks,
+)
 from repro.dfd import dfd_to_dot
 from repro.errors import ModelError
 from repro.viz import (
@@ -65,12 +69,13 @@ class TestLtsDot:
     def test_risk_transitions_dotted(self, research_system, weight_policy,
                                      table1):
         lts = generate_lts(research_system)
-        PseudonymisationRiskAnalyzer(
+        risks = PseudonymisationRiskAnalyzer(
             research_system, weight_policy,
             dataset=table1).annotate(lts, actors=["Researcher"])
-        dot = lts_to_dot(lts)
+        dot = lts_to_dot(lts, risks=merge_risks(risks))
         assert "style=dotted" in dot
         assert "violations=4/6" in dot
+        assert "violations" not in lts_to_dot(lts)
 
 
 class TestTextReports:
@@ -101,12 +106,28 @@ class TestTextReports:
     def test_risk_transition_table(self, research_system, weight_policy,
                                    table1):
         lts = generate_lts(research_system)
-        PseudonymisationRiskAnalyzer(
+        risks = PseudonymisationRiskAnalyzer(
             research_system, weight_policy,
             dataset=table1).annotate(lts, actors=["Researcher"])
-        table = risk_transition_table(lts)
+        table = risk_transition_table(lts, merge_risks(risks))
         assert "risk" in table
         assert "Researcher" in table
 
     def test_risk_transition_table_empty(self, medical_lts):
         assert "-" in risk_transition_table(medical_lts)
+
+
+class TestGoldenRiskRender:
+    def test_golden_risk_render_replays(self):
+        """DOT, risk table and JSON export of two analysed LTSs,
+        rendered from their risk side tables, match the recording in
+        ``tests/data/golden_risk_render.json`` byte for byte."""
+        import json
+        from capture_golden_risk_render import DATA_PATH, capture
+        with open(DATA_PATH, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        rendered = capture()
+        assert sorted(rendered) == sorted(golden)
+        for name, outputs in golden.items():
+            for kind, text in outputs.items():
+                assert rendered[name][kind] == text, (name, kind)
