@@ -16,12 +16,22 @@ Transitions carry a *kind* so analyses and rendering can distinguish:
   prescribes (how the Administrator's EHR access shows up in IV.A);
 - ``risk``: an inference risk transition added by pseudonymisation
   analysis (the dotted lines of Fig. 4).
+
+An LTS is built by appending states and transitions. :meth:`LTS.freeze`
+makes it read-only, so one instance can serve many analyses and
+threads (the engine's LTS memo and the monitor pool share frozen
+LTSs); writes on it raise. An analysis that adds to an LTS (the
+pseudonymisation check) works on a :meth:`LTS.fork`: a writable copy
+that shares the state and transition objects and owns only their
+lists. Adjacency (``transitions_from`` and friends) is built in one
+pass on first read and dropped on the next write, so an LTS that is
+never walked by state never pays for it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ModelError
 from .actions import ActionType, TransitionLabel
@@ -88,29 +98,28 @@ class LTS:
 
     def __init__(self, registry):
         self._registry = registry
-        self._states: List[State] = []
+        # Lists while the LTS is being built; a read swaps each for a
+        # tuple (the view it hands out), and the next write swaps it
+        # back. A frozen LTS keeps its tuples for good.
+        self._states: Union[List[State], Tuple[State, ...]] = []
         self._by_key: Dict[object, int] = {}
-        self._transitions: List[Transition] = []
-        self._outgoing: Dict[int, List[int]] = {}
-        self._incoming: Dict[int, List[int]] = {}
+        self._transitions: Union[List[Transition],
+                                 Tuple[Transition, ...]] = []
         self._initial: Optional[int] = None
-        # Materialised views, invalidated on append: analyzers iterate
-        # states/transitions/adjacency in loops, and rebuilding a
-        # fresh tuple per access dominated their cost.
-        self._states_view: Optional[Tuple[State, ...]] = None
-        self._transitions_view: Optional[Tuple[Transition, ...]] = None
-        self._out_views: Dict[int, Tuple[Transition, ...]] = {}
-        self._in_views: Dict[int, Tuple[Transition, ...]] = {}
-        self._succ_views: Dict[int, Tuple[int, ...]] = {}
-        self._pred_views: Dict[int, Tuple[int, ...]] = {}
+        self._frozen = False
+        # (outgoing, incoming, successors, predecessors), each a tuple
+        # indexed by sid; built on the first adjacency read, dropped
+        # on every write.
+        self._adjacency: Optional[Tuple[tuple, tuple, tuple, tuple]] = None
 
     def __getstate__(self) -> dict:
-        # The views are caches, not content: an LTS pickles to the
-        # same bytes however much it has been read.
+        # The adjacency is a cache, not content, and list-or-tuple is
+        # read history: an LTS pickles to the same bytes however much
+        # it has been read.
         state = self.__dict__.copy()
-        state.update(_states_view=None, _transitions_view=None,
-                     _out_views={}, _in_views={}, _succ_views={},
-                     _pred_views={})
+        state.update(_states=tuple(self._states),
+                     _transitions=tuple(self._transitions),
+                     _adjacency=None)
         return state
 
     # -- construction -----------------------------------------------------
@@ -119,27 +128,63 @@ class LTS:
     def registry(self):
         return self._registry
 
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def freeze(self) -> "LTS":
+        """Make this LTS read-only, so it can be shared; returns it.
+
+        Writes then raise :class:`ModelError`; :meth:`fork` gives a
+        writable copy.
+        """
+        self._states = tuple(self._states)
+        self._transitions = tuple(self._transitions)
+        self._frozen = True
+        return self
+
+    def fork(self) -> "LTS":
+        """A writable LTS with this one's content.
+
+        The fork shares the :class:`State` and :class:`Transition`
+        objects but owns its state list, transition list and key
+        index, so what it adds never shows in this LTS (and neither
+        LTS sees the other's adjacency cache).
+        """
+        fork = LTS(self._registry)
+        fork._states = list(self._states)
+        fork._by_key = dict(self._by_key)
+        fork._transitions = list(self._transitions)
+        fork._initial = self._initial
+        return fork
+
+    def _check_writable(self) -> None:
+        if self._frozen:
+            raise ModelError("frozen LTS; fork() it")
+
     def add_state(self, key, vector: PrivacyVector,
                   info: Optional[dict] = None) -> Tuple[int, bool]:
         """Add (or find) the state with configuration ``key``.
 
         Returns ``(sid, created)``.
         """
+        self._check_writable()
         existing = self._by_key.get(key)
         if existing is not None:
             return existing, False
-        sid = len(self._states)
-        state = State(sid, key, vector, info)
-        self._states.append(state)
-        self._states_view = None
+        states = self._states
+        if type(states) is tuple:
+            states = self._states = list(states)
+        sid = len(states)
+        states.append(State(sid, key, vector, info))
         self._by_key[key] = sid
-        self._outgoing[sid] = []
-        self._incoming[sid] = []
+        self._adjacency = None
         if self._initial is None:
             self._initial = sid
         return sid, True
 
     def set_initial(self, sid: int) -> None:
+        self._check_writable()
         self._check_sid(sid)
         self._initial = sid
 
@@ -147,18 +192,17 @@ class LTS:
                        label: TransitionLabel,
                        kind: TransitionKind = TransitionKind.FLOW
                        ) -> Transition:
+        transitions = self._transitions
+        if type(transitions) is tuple:
+            # Read since the last write, or frozen (always tuples).
+            self._check_writable()
+            transitions = self._transitions = list(transitions)
         self._check_sid(source)
         self._check_sid(target)
-        transition = Transition(len(self._transitions), source, target,
+        transition = Transition(len(transitions), source, target,
                                 label, kind)
-        self._transitions.append(transition)
-        self._transitions_view = None
-        self._outgoing[source].append(transition.tid)
-        self._incoming[target].append(transition.tid)
-        self._out_views.pop(source, None)
-        self._succ_views.pop(source, None)
-        self._in_views.pop(target, None)
-        self._pred_views.pop(target, None)
+        transitions.append(transition)
+        self._adjacency = None
         return transition
 
     def _check_sid(self, sid: int) -> None:
@@ -183,54 +227,56 @@ class LTS:
 
     @property
     def states(self) -> Tuple[State, ...]:
-        view = self._states_view
-        if view is None:
-            view = self._states_view = tuple(self._states)
-        return view
+        states = self._states
+        if type(states) is not tuple:
+            states = self._states = tuple(states)
+        return states
 
     @property
     def transitions(self) -> Tuple[Transition, ...]:
-        view = self._transitions_view
-        if view is None:
-            view = self._transitions_view = tuple(self._transitions)
-        return view
+        transitions = self._transitions
+        if type(transitions) is not tuple:
+            transitions = self._transitions = tuple(transitions)
+        return transitions
 
     def transition(self, tid: int) -> Transition:
         if not 0 <= tid < len(self._transitions):
             raise ModelError(f"unknown transition id {tid}")
         return self._transitions[tid]
 
+    def _adjacency_of(self, index: int, sid: int) -> tuple:
+        """Row ``sid`` of adjacency table ``index``, building all four
+        tables in one pass (transitions in tid order) on first use.
+
+        Concurrent first reads of a frozen LTS may each build them;
+        the builds are equal and the store is one assignment."""
+        self._check_sid(sid)
+        tables = self._adjacency
+        if tables is None:
+            outgoing: List[List[Transition]] = [[] for _ in self._states]
+            incoming: List[List[Transition]] = [[] for _ in self._states]
+            for transition in self._transitions:
+                outgoing[transition.source].append(transition)
+                incoming[transition.target].append(transition)
+            out_rows = tuple(map(tuple, outgoing))
+            in_rows = tuple(map(tuple, incoming))
+            tables = self._adjacency = (
+                out_rows, in_rows,
+                tuple(tuple(t.target for t in row) for row in out_rows),
+                tuple(tuple(t.source for t in row) for row in in_rows))
+        return tables[index][sid]
+
     def transitions_from(self, sid: int) -> Tuple[Transition, ...]:
-        view = self._out_views.get(sid)
-        if view is None:
-            self._check_sid(sid)
-            view = tuple(self._transitions[t]
-                         for t in self._outgoing[sid])
-            self._out_views[sid] = view
-        return view
+        return self._adjacency_of(0, sid)
 
     def transitions_to(self, sid: int) -> Tuple[Transition, ...]:
-        view = self._in_views.get(sid)
-        if view is None:
-            self._check_sid(sid)
-            view = tuple(self._transitions[t]
-                         for t in self._incoming[sid])
-            self._in_views[sid] = view
-        return view
+        return self._adjacency_of(1, sid)
 
     def successors(self, sid: int) -> Tuple[int, ...]:
-        view = self._succ_views.get(sid)
-        if view is None:
-            view = tuple(t.target for t in self.transitions_from(sid))
-            self._succ_views[sid] = view
-        return view
+        return self._adjacency_of(2, sid)
 
     def predecessors(self, sid: int) -> Tuple[int, ...]:
-        view = self._pred_views.get(sid)
-        if view is None:
-            view = tuple(t.source for t in self.transitions_to(sid))
-            self._pred_views[sid] = view
-        return view
+        return self._adjacency_of(3, sid)
 
     # -- filtered views ----------------------------------------------------------------
 

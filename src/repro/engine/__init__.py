@@ -13,8 +13,9 @@ the production layer over it:
   (model stage -> LTS stage -> analyzer stage), so each cache
   invalidates at exactly the layer a change touches;
 - **pluggable caches** (:mod:`~repro.engine.cache`) memoise generated
-  LTSs and finished reports — in-memory LRU tiered over an on-disk
-  store with an age/size-budget eviction lifecycle;
+  LTSs (one frozen, shared instance per key, in memory) and finished
+  reports (in-memory LRU tiered over an on-disk store with an
+  age/size-budget eviction lifecycle);
 - the :class:`~repro.engine.runner.BatchEngine` executes mixed-kind
   job fleets through serial, thread or process backends with
   deterministic result ordering and per-batch deduplication;

@@ -330,16 +330,17 @@ def build_cache(memory_entries: int = 256,
 
 
 #: The subdirectories a :class:`~repro.engine.runner.BatchEngine`
-#: cache_dir holds, by store role.
-ENGINE_STORES = ("results", "lts", "taint", "lint")
+#: cache_dir holds, by store role. The LTS memo has no disk tier: a
+#: stored LTS loads no faster than it generates.
+ENGINE_STORES = ("results", "taint", "lint")
 
 
 def store_report(cache_dir: str) -> Dict[str, Dict[str, Any]]:
     """Summarise an engine cache directory's on-disk stores.
 
-    One summary per existing store (``results``/``lts``): entry count,
-    total bytes, and the oldest/newest entry age in seconds. Missing
-    stores are skipped (a never-used tier is not an error).
+    One summary per existing store of :data:`ENGINE_STORES`: entry
+    count, total bytes, and the oldest/newest entry age in seconds.
+    Missing stores are skipped (a never-used tier is not an error).
     """
     report: Dict[str, Dict[str, Any]] = {}
     for store_name in ENGINE_STORES:
@@ -365,8 +366,8 @@ def prune_stores(cache_dir: str,
     """Prune every on-disk store under ``cache_dir``.
 
     ``max_bytes`` is a *per-store* budget (the stores have
-    independent churn profiles; a byte of LTS blob and a byte of
-    result are not interchangeable).
+    independent churn profiles; a byte of taint certificate and a
+    byte of result are not interchangeable).
     """
     reports: Dict[str, PruneReport] = {}
     for store_name in ENGINE_STORES:

@@ -266,9 +266,9 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
         if new_key in seeded_keys:
             continue
         seeded_keys.add(new_key)
-        blob = engine.lts_cache.get(old_key)
-        if blob is not None:
-            engine.lts_cache.put(new_key, blob)
+        lts = engine.lts_cache.get(old_key)
+        if lts is not None:
+            engine.lts_cache.put(new_key, lts)
             lts_seeded += 1
     batch = engine.run(new_jobs, screen=screen, lint=lint)
     return ReanalysisOutcome(

@@ -117,12 +117,18 @@ class AnalyzerConfig:
 
 
 class KindOutcome(NamedTuple):
-    """What one kind's ``analyse`` produces for one job."""
+    """What one kind's ``analyse`` produces for one job.
+
+    ``lts`` is the LTS the job's state and transition counts come
+    from, when it is not the one ``analyse`` was given (the pseudonym
+    kind's fork, which holds its injected risk transitions).
+    """
 
     max_level: str
     events: Tuple[RiskEventSummary, ...]
     non_allowed_actors: Tuple[str, ...]
     details: Tuple[Tuple[str, Any], ...]
+    lts: Optional[LTS] = None
 
 
 class AnalysisKind:
@@ -157,9 +163,10 @@ class AnalysisKind:
 
     def analyse(self, job: AnalysisJob, lts: Optional[LTS],
                 config: AnalyzerConfig) -> KindOutcome:
-        """Run the analysis; ``lts`` is a private instance (only the
-        pseudonym kind mutates it, injecting risk transitions) and None
-        when :attr:`uses_lts` is False."""
+        """Run the analysis; ``lts`` is frozen and may be shared with
+        other jobs and threads (a kind that adds to it analyses a
+        :meth:`~repro.core.lts.LTS.fork`), and None when
+        :attr:`uses_lts` is False."""
         raise NotImplementedError
 
     def screen_outcome(self, job: AnalysisJob,
@@ -297,11 +304,12 @@ class TaintKind(AnalysisKind):
 class PseudonymKind(AnalysisKind):
     """Pseudonymisation value-inference risk (paper III.B, Fig. 4).
 
-    Injects the dotted risk transitions into the job's LTS and scores
-    them against the configured dataset (unscored without one). On
-    models that pseudonymise nothing the outcome is a no-op marked
-    ``applicable=False`` rather than an error, so mixed fleets roll up
-    cleanly.
+    Injects the dotted risk transitions into a fork of the job's
+    shared LTS and scores them against the configured dataset
+    (unscored without one); the job's state and transition counts
+    include the injected ones. On models that pseudonymise nothing
+    the outcome is a no-op marked ``applicable=False`` rather than an
+    error, so mixed fleets roll up cleanly.
 
     Triage mapping (engine-level, not paper semantics): ``high`` when
     any scored risk violates for at least half its records, ``medium``
@@ -365,7 +373,8 @@ class PseudonymKind(AnalysisKind):
         analyzer = PseudonymisationRiskAnalyzer(
             job.system, policy, dataset=config.dataset,
             record_field_map=config.field_map())
-        risks = analyzer.annotate(lts)
+        fork = lts.fork()
+        risks = analyzer.annotate(fork)
         scored = [r for r in risks if r.result is not None]
         violations = sum(r.result.violations for r in scored)
         worst_fraction = max(
@@ -388,7 +397,8 @@ class PseudonymKind(AnalysisKind):
                 ("violations", violations),
                 ("worst_fraction", round(worst_fraction, 6)),
                 ("paths", tuple(r.summary_tuple() for r in risks)),
-            ))
+            ),
+            lts=fork)
 
     def aggregate(self, results: Sequence) -> Dict[str, Any]:
         rollup = super().aggregate(results)

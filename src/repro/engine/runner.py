@@ -12,10 +12,10 @@ Execution pipeline, per :meth:`BatchEngine.run` call:
    or ``process`` (:class:`~concurrent.futures.ProcessPoolExecutor`).
 4. Inside each worker, the job's :class:`~repro.engine.kinds
    .AnalysisKind` runs. LTS-consuming kinds go through the **LTS
-   memo**: the generated LTS of a (model, options) pair is cached —
-   in-memory LRU in front of the shared on-disk store, so thread
-   workers share blobs and process workers share the disk tier.
-   Mixed-kind batches share LTSs whenever their stage-2 keys agree.
+   memo**: an in-memory LRU holding one frozen LTS per (model,
+   options) pair, generated once and shared as is by every job and
+   thread worker whose stage-2 key agrees, whatever its kind. Process
+   workers each keep their own memo.
 5. Results return **in submission order**, regardless of backend or
    completion order, and are written back to the result cache.
 
@@ -26,7 +26,6 @@ job short-circuits at step 2.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 from concurrent import futures
@@ -48,7 +47,7 @@ from ..dfd.validation import Severity
 from ..errors import LintError
 from ..lint import Diagnostic, run_lint
 from ..taint import TaintCertificate, build_certificate
-from .cache import build_cache
+from .cache import LRUCache, build_cache
 from .fingerprint import (job_fingerprint, lint_stage_key,
                           lts_cache_key, model_fingerprint,
                           taint_stage_key)
@@ -148,30 +147,18 @@ def _run_analysis(job: AnalysisJob, fingerprint: str,
     generated = False
     if kind.uses_lts:
         key = lts_cache_key(job.system, options, model_fp=model_fp)
-        # The memo stores pickled blobs, not live objects. Analyses
-        # only read the LTS, except pseudonym jobs, which inject their
-        # risk transitions into it; until that becomes an overlay,
-        # every job gets a private instance (and thread workers never
-        # share one).
-        blob = lts_cache.get(key) if lts_cache is not None else None
-        if blob is not None and not isinstance(blob, bytes):
-            blob = None          # foreign/legacy entry: treat as miss
-        lts = None
-        if blob is not None:
-            try:
-                lts = pickle.loads(blob)
-            except Exception:    # noqa: BLE001 — cache boundary
-                # A blob written by an incompatible Configuration
-                # layout (pre-bitmask pickles share our stage-2 keys);
-                # regenerate and overwrite rather than fail the job.
-                lts = None
+        # The memo holds live, frozen LTSs: every job on this key (and
+        # every thread worker) analyses the same object. Kinds only
+        # read it; the pseudonym kind writes on a fork of its own.
+        lts = lts_cache.get(key) if lts_cache is not None else None
         generated = lts is None
         if generated:
-            lts = ModelGenerator(job.system).generate(options)
+            lts = ModelGenerator(job.system).generate(options).freeze()
             if lts_cache is not None:
-                lts_cache.put(key, pickle.dumps(
-                    lts, protocol=pickle.HIGHEST_PROTOCOL))
+                lts_cache.put(key, lts)
     outcome = kind.analyse(job, lts, config)
+    if outcome.lts is not None:
+        lts = outcome.lts
     return JobResult(
         job_id=job.job_id,
         scenario=job.scenario,
@@ -284,17 +271,16 @@ class ThreadBackend(Backend):
 
 # -- process backend plumbing ------------------------------------------------
 #
-# Workers rebuild their own LTS cache (per-process LRU over the shared
-# disk tier) from plain configuration, because live cache objects carry
-# locks and cannot cross the pickle boundary.
+# Each worker keeps its own LTS memo (live cache objects carry locks and
+# cannot be sent to another process), so it generates a key at most
+# once.
 
 _WORKER_LTS_CACHE = None
 
 
-def _process_initializer(lts_dir: Optional[str],
-                         memory_entries: int) -> None:
+def _process_initializer(memory_entries: int) -> None:
     global _WORKER_LTS_CACHE
-    _WORKER_LTS_CACHE = build_cache(memory_entries, lts_dir)
+    _WORKER_LTS_CACHE = LRUCache(memory_entries)
 
 
 def _process_worker(payload) -> JobResult:
@@ -304,8 +290,9 @@ def _process_worker(payload) -> JobResult:
 
 
 class ProcessBackend(Backend):
-    """A :class:`~concurrent.futures.ProcessPoolExecutor` pool; worker
-    processes share only the disk cache tier."""
+    """A :class:`~concurrent.futures.ProcessPoolExecutor` pool; each
+    worker process keeps its own in-memory LTS memo, and finished
+    results return to the engine's result cache."""
 
     name = "process"
 
@@ -313,7 +300,7 @@ class ProcessBackend(Backend):
         with futures.ProcessPoolExecutor(
                 engine.workers,
                 initializer=_process_initializer,
-                initargs=(engine._lts_dir, engine._memory_entries),
+                initargs=(engine._memory_entries,),
         ) as pool:
             tasks = [
                 pool.submit(_process_worker,
@@ -343,10 +330,12 @@ class BatchEngine:
         Pool width for the parallel backends (default: CPU count,
         capped at 8).
     cache_dir:
-        Root of the on-disk store. When given, both the result cache
-        and the LTS memo gain a disk tier (``results/`` and ``lts/``
-        subdirectories), so later runs — and sibling processes — reuse
-        everything already computed.
+        Root of the on-disk store. When given, the result, taint and
+        lint caches gain a disk tier (``results/``, ``taint/`` and
+        ``lint/`` subdirectories), so later runs — and sibling
+        processes — reuse everything already computed. The LTS memo
+        stays in memory: loading a stored LTS is no cheaper than
+        generating it.
     memory_entries:
         Capacity of each in-memory LRU tier.
     likelihood / matrix:
@@ -386,15 +375,13 @@ class BatchEngine:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.cache_dir = cache_dir
         self._memory_entries = memory_entries
-        self._lts_dir = os.path.join(cache_dir, "lts") \
-            if cache_dir is not None else None
         self.result_cache = result_cache if result_cache is not None \
             else build_cache(
                 memory_entries,
                 os.path.join(cache_dir, "results")
                 if cache_dir is not None else None)
         self.lts_cache = lts_cache if lts_cache is not None \
-            else build_cache(memory_entries, self._lts_dir)
+            else LRUCache(memory_entries)
         self.taint_cache = build_cache(
             memory_entries,
             os.path.join(cache_dir, "taint")

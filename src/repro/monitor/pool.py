@@ -92,8 +92,9 @@ class MonitorPool:
         lts_key = (options.services, options.potential_read_actors)
         lts = self._lts_cache.get(lts_key)
         if lts is None:
+            # Frozen: no user's monitor may write on another's LTS.
             lts = self._lts_cache[lts_key] = \
-                self._generator.generate(options)
+                self._generator.generate(options).freeze()
         risk_key = (
             lts_key,
             tuple(sorted(user.sensitivity.as_dict().items())),

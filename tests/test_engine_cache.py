@@ -163,17 +163,21 @@ class TestDiskCacheLifecycle:
         engine.run([AnalysisJob(system=build_surgery_system(),
                                 user=surgery_patient())])
         report = store_report(cache_dir)
-        assert set(report) == {"results", "lts", "taint", "lint"}
+        # The LTS memo has no disk tier; an lts/ directory an older
+        # version left behind is neither reported nor pruned.
+        assert set(report) == {"results", "taint", "lint"}
+        assert not os.path.exists(os.path.join(cache_dir, "lts"))
         assert report["results"]["entries"] == 1
-        assert report["lts"]["bytes"] > 0
         # The taint store only fills under run(screen=True), the lint
         # store only under run(lint=...).
         assert report["taint"]["entries"] == 0
         assert report["lint"]["entries"] == 0
+        DiskCache(os.path.join(cache_dir, "lts")).put("old", b"blob")
         pruned = prune_stores(cache_dir, max_bytes=0)
+        assert set(pruned) == {"results", "taint", "lint"}
         assert pruned["results"].removed == 1
-        assert pruned["lts"].removed == 1
-        assert store_report(cache_dir)["lts"]["entries"] == 0
+        assert store_report(cache_dir)["results"]["entries"] == 0
+        assert "lts" not in store_report(cache_dir)
 
     def test_store_report_skips_missing_dir(self, tmp_path):
         assert store_report(str(tmp_path / "nowhere")) == {}

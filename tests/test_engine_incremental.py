@@ -157,6 +157,24 @@ class TestReanalyze:
         assert outcome.batch.stats.result_hits == 1
         assert outcome.retargeted == 3
 
+    def test_reseeding_stores_the_identical_lts(self):
+        """Re-seeding shares the frozen LTS under its new stage-2 key;
+        nothing is copied."""
+        from repro.engine import lts_stage_key, model_fingerprint
+        before = build_surgery_system()
+        after = _create_grant_edit()
+        engine = BatchEngine()
+        jobs = self._fleet(before)
+        engine.run(jobs)
+        options = resolve_options(jobs[0])
+        seeded = engine.lts_cache.get(
+            lts_stage_key(model_fingerprint(before), options))
+        assert seeded is not None and seeded.frozen
+        outcome = reanalyze(engine, before, after, jobs)
+        assert outcome.lts_seeded == 1
+        assert engine.lts_cache.get(
+            lts_stage_key(model_fingerprint(after), options)) is seeded
+
     def test_read_edit_still_skips_unchanged_models(self):
         before = build_surgery_system()
         after = tighten_administrator_policy(build_surgery_system())
@@ -202,14 +220,19 @@ class TestReanalyze:
 
     def test_reanalyze_through_disk_cache(self, tmp_path):
         """A fresh engine over the same cache_dir (a new process,
-        operationally) still reuses the prior run's stages."""
+        operationally) still reuses the prior run's results. The LTS
+        memo is in memory only, so it has nothing to re-seed and
+        generates the shared key once."""
         cache_dir = str(tmp_path / "cache")
         before = build_surgery_system()
         jobs = self._fleet(before)
         BatchEngine(cache_dir=cache_dir).run(jobs)
         engine = BatchEngine(cache_dir=cache_dir)
         outcome = reanalyze(engine, before, _create_grant_edit(), jobs)
-        assert outcome.batch.stats.lts_generations == 0
+        assert outcome.lts_seeded == 0
+        assert outcome.batch.stats.lts_generations == 1
+        assert outcome.batch.stats.lts_reuses == \
+            outcome.batch.stats.executed - 1
         assert outcome.batch.stats.result_hits == 1
 
     def test_mixed_kind_fleet_reanalyzes(self):

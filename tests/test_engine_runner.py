@@ -1,5 +1,7 @@
 """The batch engine: backends, caching, dedup, ordering."""
 
+import sys
+
 import pytest
 
 from repro.casestudies import build_scaled_system, build_surgery_system
@@ -160,74 +162,114 @@ class TestResolveOptions:
         assert resolve_options(job) is explicit
 
 
-class TestStaleLtsBlobs:
-    """Entries written under our stage-2 keys by an incompatible
-    pickle layout (e.g. pre-bitmask ``Configuration`` blobs) must be
-    treated as misses and overwritten, not fail the job."""
+class TestSharedLtsMemo:
+    """The LTS memo holds one live, frozen LTS per stage-2 key: every
+    job on that key analyses the same object, and the pseudonym kind,
+    the only one that adds to an LTS, works on a fork."""
 
-    def test_unpicklable_blob_regenerates(self):
-        from repro.engine.fingerprint import lts_cache_key
+    @staticmethod
+    def _research_engine(**kwargs):
+        from repro.casestudies import (TABLE1_CLOSENESS_KG,
+                                       table1_records)
+        from repro.core.risk import ValueRiskPolicy
+        return BatchEngine(
+            value_policy=ValueRiskPolicy(
+                "weight", closeness=TABLE1_CLOSENESS_KG,
+                confidence=0.9),
+            dataset=table1_records(),
+            record_field_map={"age_anon": "age",
+                              "height_anon": "height",
+                              "weight_anon": "weight"},
+            **kwargs)
+
+    def test_jobs_on_one_key_share_the_memoised_lts(self, monkeypatch):
+        from repro.engine import get_kind, lts_cache_key
+        kind_class = type(get_kind("disclosure"))
+        analyse = kind_class.analyse
+        seen = []
+
+        def recording(self, job, lts, config):
+            seen.append(lts)
+            return analyse(self, job, lts, config)
+
+        monkeypatch.setattr(kind_class, "analyse", recording)
+        system = build_surgery_system()
+        jobs = [AnalysisJob(system=system, user=_patient(f"p{i}"))
+                for i in range(2)]
         engine = BatchEngine(backend="serial")
-        jobs = [AnalysisJob(system=build_surgery_system(),
-                            user=_patient())]
-        key = lts_cache_key(jobs[0].system, resolve_options(jobs[0]))
-        engine.lts_cache.put(key, b"\x80\x04not a pickle")
         batch = engine.run(jobs)
         assert batch.stats.lts_generations == 1
-        assert batch.results[0].states > 0
-        # The poisoned entry was replaced with a loadable one.
-        import pickle
-        assert pickle.loads(engine.lts_cache.get(key)) is not None
+        assert batch.stats.lts_reuses == 1
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].frozen
+        key = lts_cache_key(system, resolve_options(jobs[0]))
+        assert engine.lts_cache.get(key) is seen[0]
 
-    def test_results_unchanged_after_blob_recovery(self):
-        from repro.engine.fingerprint import lts_cache_key
-        clean = BatchEngine(backend="serial").run(_jobs(2))
-        engine = BatchEngine(backend="serial")
-        job = _jobs(1)[0]
-        key = lts_cache_key(job.system, resolve_options(job))
-        engine.lts_cache.put(key, b"junk")
-        recovered = engine.run(_jobs(2))
-        assert [r.signature() for r in recovered.results] == \
-            [r.signature() for r in clean.results]
-
-    def test_blob_with_transition_risk_slot_regenerates(self):
-        """An LTS pickled when ``Transition`` still had its ``risk``
-        slot fails to load (the slot no longer exists) and is
-        regenerated and overwritten; the job's result is unchanged."""
-        import copyreg
-        import io
-        import pickle
+    def test_pseudonym_job_counts_its_fork(self):
+        from repro.casestudies import build_research_system, \
+            surgery_patient
         from repro.core import ModelGenerator
-        from repro.core.lts import Transition
-        from repro.engine.fingerprint import lts_cache_key
-
-        class OldLayoutPickler(pickle.Pickler):
-            def reducer_override(self, obj):
-                if type(obj) is not Transition:
-                    return NotImplemented
-                slots = {name: getattr(obj, name)
-                         for name in Transition.__slots__}
-                slots["risk"] = None
-                return copyreg.__newobj__, (Transition,), (None, slots)
-
-        job = _jobs(1)[0]
+        from repro.core.lts import TransitionKind
+        from repro.core.risk import PseudonymisationRiskAnalyzer
+        from repro.engine import lts_cache_key
+        engine = self._research_engine()
+        system = build_research_system()
+        job = AnalysisJob(system=system, user=surgery_patient(),
+                          kind="pseudonym")
         options = resolve_options(job)
-        buffer = io.BytesIO()
-        OldLayoutPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
-            ModelGenerator(job.system).generate(options))
-        with pytest.raises(AttributeError):
-            pickle.loads(buffer.getvalue())
+        result = engine.run([job]).results[0]
 
-        clean = BatchEngine(backend="serial").run([job])
-        engine = BatchEngine(backend="serial")
-        key = lts_cache_key(job.system, options)
-        engine.lts_cache.put(key, buffer.getvalue())
-        recovered = engine.run([job])
-        assert recovered.stats.lts_generations == 1
-        assert recovered.results[0].signature() == \
-            clean.results[0].signature()
-        assert engine.lts_cache.get(key) != buffer.getvalue()
-        assert pickle.loads(engine.lts_cache.get(key)) is not None
+        memoised = engine.lts_cache.get(lts_cache_key(system, options))
+        fresh = ModelGenerator(system).generate(options)
+        assert (len(memoised), len(memoised.transitions)) == \
+            (len(fresh), len(fresh.transitions))
+        assert not memoised.transitions_of_kind(TransitionKind.RISK)
+
+        by_hand = fresh.freeze().fork()
+        risks = PseudonymisationRiskAnalyzer(
+            system, engine.config.value_policy,
+            dataset=engine.config.dataset,
+            record_field_map=engine.config.field_map()).annotate(by_hand)
+        assert risks and result.detail("risks") == len(risks)
+        assert (result.states, result.transitions) == \
+            (len(by_hand), len(by_hand.transitions))
+        assert result.transitions > len(memoised.transitions)
+
+        # A second job on the memoised key sees no injected transition.
+        again = engine.run([AnalysisJob(
+            system=system, user=surgery_patient("other"),
+            kind="pseudonym")]).results[0]
+        assert not again.lts_generated
+        assert again.signature()[3:] == result.signature()[3:]
+        assert (len(memoised), len(memoised.transitions)) == \
+            (len(fresh), len(fresh.transitions))
+
+    def test_thread_workers_share_lts_across_mixed_kinds(self):
+        from repro.casestudies import build_research_system
+        system = build_research_system()
+        jobs = [AnalysisJob(system=system, kind=kind,
+                            user=UserProfile(
+                                f"u{i}", agreed_services=[service],
+                                default_sensitivity=0.1 * (i + 1)))
+                for i in range(4)
+                for service in ("HealthCheckService", "ResearchService")
+                for kind in ("disclosure", "pseudonym", "reidentify")]
+        serial = self._research_engine(backend="serial").run(jobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = self._research_engine(backend="thread",
+                                             workers=8).run(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.signature() for r in threaded.results] == \
+            [r.signature() for r in serial.results]
+        assert threaded.stats.lts_reuses > 0
+
+    def test_runner_holds_no_pickle(self):
+        import inspect
+        from repro.engine import runner
+        assert "pickle" not in inspect.getsource(runner)
 
 
 class TestBackendRegistry:

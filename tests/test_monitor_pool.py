@@ -62,6 +62,21 @@ class TestMonitorPool:
         assert len(pool._lts_cache) == 1
         assert pool.monitor_for("p1").lts is pool.monitor_for("p2").lts
 
+    def test_pooled_lts_raises_on_write(self, surgery_system):
+        """Users with the same consents share one LTS, so it is frozen:
+        no monitor can write on another user's LTS."""
+        from repro.errors import ModelError
+        pool = MonitorPool(surgery_system)
+        lts = pool.register(surgery_patient("p1")).lts
+        assert lts.frozen
+        initial = lts.initial
+        with pytest.raises(ModelError, match="frozen"):
+            lts.add_state(("extra",), initial.vector)
+        with pytest.raises(ModelError, match="frozen"):
+            lts.add_transition(initial.sid, initial.sid,
+                               lts.transitions[0].label)
+        assert pool.register(surgery_patient("p2")).lts is lts
+
     def test_different_sensitivities_do_not_share(self, surgery_system):
         pool = MonitorPool(surgery_system)
         pool.register(surgery_patient("p1"))

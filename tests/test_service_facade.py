@@ -220,10 +220,12 @@ class TestCacheLifecycle:
         stats = service.cache_stats()
         stores = dict(stats.stores)
         assert stores["results"]["entries"] == 1
-        assert stores["lts"]["entries"] == 1
+        # The LTS memo lives in memory only: no store on disk.
+        assert "lts" not in stores
         assert stats.live["results"]["puts"] == 1
+        assert stats.live["lts"]["puts"] == 1
         pruned = service.prune_cache(max_bytes=0)
-        assert sum(r.removed for _, r in pruned.stores) == 2
+        assert sum(r.removed for _, r in pruned.stores) == 1
 
     def test_prune_without_cache_dir_is_an_error(self):
         with pytest.raises(RequestError, match="cache_dir"):
