@@ -18,6 +18,13 @@ from repro.core.risk import ValueRiskPolicy, analyse_population
 from repro.dfd import diff_models, risk_delta
 
 
+def _ranked(hot_spots):
+    """Hot spots, most affected users first; ties by actor, then field,
+    so equal counts print in the same order on every run."""
+    return sorted(hot_spots.items(),
+                  key=lambda item: (-item[1], item[0]))
+
+
 def main():
     # -- Round 1: analyse the design against a simulated population ----
     system = build_surgery_system()
@@ -34,8 +41,7 @@ def main():
           f"{report.unacceptable_fraction:.0%}")
     print()
     print("hot spots (actor, field) -> affected users:")
-    spots = sorted(report.hot_spots().items(),
-                   key=lambda item: -item[1])
+    spots = _ranked(report.hot_spots())
     for (actor, field), count in spots[:5]:
         print(f"  {actor:15s} {field:18s} {count}")
     print()
@@ -57,8 +63,7 @@ def main():
           f"{after.unacceptable_fraction:.0%}")
     print()
     print("residual hot spots (risk the fix did NOT remove):")
-    residual = sorted(after.hot_spots().items(),
-                      key=lambda item: -item[1])
+    residual = _ranked(after.hot_spots())
     for (actor, field), count in residual[:3]:
         print(f"  {actor:15s} {field:18s} {count}")
     print("-> identifier-sensitive users still object to the "

@@ -11,12 +11,12 @@ engine, and prints the fleet-level roll-up: the risk-level histogram,
 the risk-matrix cells, the worst disclosure paths, and what each
 design variant changed against its family baseline.
 
-Run with ``python examples/fleet_assessment.py``. A second invocation
-with the same cache directory answers entirely from cache — watch the
+Run with ``python examples/fleet_assessment.py``. The cache lives in a
+fresh temporary directory for each run; a second engine over the same
+directory then answers the whole fleet from it — watch the
 "result-cache hits" line.
 """
 
-import os
 import tempfile
 
 from repro.engine import (
@@ -40,29 +40,32 @@ def main() -> None:
     families = sorted({s.family for s in scenarios})
     print(f"families: {', '.join(families)}\n")
 
-    cache_dir = os.path.join(tempfile.gettempdir(),
-                             "repro-fleet-cache")
+    with tempfile.TemporaryDirectory() as cache_dir:
+        # -- 2. assess the fleet through the parallel engine ----------
+        engine = BatchEngine(backend="thread", cache_dir=cache_dir)
+        batch = engine.run(jobs)
 
-    # -- 2. assess the fleet through the parallel engine --------------
-    engine = BatchEngine(backend="thread", cache_dir=cache_dir)
-    batch = engine.run(jobs)
+        # -- 3. the fleet-level report --------------------------------
+        report = FleetReport(batch.results, batch.stats)
+        print(report.describe())
 
-    # -- 3. the fleet-level report ------------------------------------
-    report = FleetReport(batch.results, batch.stats)
-    print(report.describe())
+        # -- 4. what did each design variant buy? ----------------------
+        print("\nper-variant deltas against family baselines:")
+        for family, data in report.scenario_deltas().items():
+            print(f"  {family} (baseline: {data['baseline_level']}):")
+            for variant, verdict in data["variants"].items():
+                sign = "+" if verdict["delta"] > 0 else ""
+                print(f"    {variant}: {verdict['max_level']} "
+                      f"({sign}{verdict['delta']} vs baseline)")
 
-    # -- 4. what did each design variant buy? --------------------------
-    print("\nper-variant deltas against family baselines:")
-    for family, data in report.scenario_deltas().items():
-        print(f"  {family} (baseline: {data['baseline_level']}):")
-        for variant, verdict in data["variants"].items():
-            sign = "+" if verdict["delta"] > 0 else ""
-            print(f"    {variant}: {verdict['max_level']} "
-                  f"({sign}{verdict['delta']} vs baseline)")
+        print(f"\ncache: {engine.result_cache.stats.describe()}")
 
-    print(f"\ncache: {engine.result_cache.stats.describe()}")
-    print(f"(cache directory: {cache_dir} — rerun to see a fully "
-          f"cached sweep)")
+        # -- 5. the warm path: a new engine over the same directory ----
+        warm_engine = BatchEngine(backend="thread", cache_dir=cache_dir)
+        warm = warm_engine.run(jobs)
+        print(f"re-run by a second engine: "
+              f"{warm.stats.result_hits}/{len(jobs)} result-cache hits, "
+              f"{warm.stats.lts_generations} LTS generations")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,24 @@ of allow entries; anything not explicitly allowed is denied. Subjects
 may be actor names or role names — resolution of roles to actors is the
 job of :class:`repro.access.rbac.RbacPolicy` and the combined
 :class:`repro.access.policy.AccessPolicy`.
+
+Queries do not scan the entries. The first query compiles them into an
+index, ``(subject, permission, store) -> granted fields``, and every
+later query is one dict probe. The writes — :meth:`~AccessControlList.allow`,
+:meth:`~AccessControlList.revoke` and
+:meth:`~AccessControlList.expand_wildcards` — drop the index, and the
+next query rebuilds it; nothing else may rewrite the entry list. The
+index is a cache, not content: it is neither pickled nor copied.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .._util import freeze_fields
+from ..errors import ModelError
 
 ALL_FIELDS = "*"
 
@@ -95,6 +104,31 @@ class AccessControlList:
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
         self._entries: List[AclEntry] = list(entries)
+        # (subject, permission, store) -> every field granted by some
+        # entry ("*" among them for a wildcard grant); built on the
+        # first query, dropped on every write.
+        self._index: Optional[Dict[Tuple[str, Permission, str],
+                                   Set[str]]] = None
+
+    def __getstate__(self) -> dict:
+        # The index is derived from the entries: an ACL pickles to the
+        # same bytes whether or not it has been queried.
+        return {"_entries": self._entries}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["_entries"])
+
+    def _compiled(self) -> Dict[Tuple[str, Permission, str], Set[str]]:
+        index = self._index
+        if index is None:
+            index = {}
+            for entry in self._entries:
+                for permission in entry.permissions:
+                    index.setdefault(
+                        (entry.subject, permission, entry.store),
+                        set()).update(entry.fields)
+            self._index = index
+        return index
 
     def allow(self, subject: str, permissions, store: str,
               fields: Iterable[str] = (ALL_FIELDS,)) -> "AccessControlList":
@@ -112,6 +146,7 @@ class AccessControlList:
         self._entries.append(
             AclEntry(subject, store, resolved, tuple(fields))
         )
+        self._index = None
         return self
 
     def revoke(self, subject: str, permission: Permission, store: str,
@@ -161,22 +196,61 @@ class AccessControlList:
                         entry.subject, entry.store, (permission,),
                         kept_fields))
         self._entries = new_entries
+        self._index = None
+        return rewritten
+
+    def expand_wildcards(self, subject: str, store: str,
+                         store_fields: Optional[Iterable[str]]) -> int:
+        """Rewrite ``subject``'s wildcard grants on ``store`` to name
+        ``store_fields`` (the store schema's fields) explicitly;
+        returns the entries rewritten.
+
+        The grants stay the same on every schema field; a field-scoped
+        :meth:`revoke` can then narrow them. Raises
+        :class:`~repro.errors.ModelError`, leaving the ACL untouched,
+        when there is a wildcard to expand but no ``store_fields``.
+        """
+        concrete = None if store_fields is None else tuple(store_fields)
+        rewritten = 0
+        new_entries: List[AclEntry] = []
+        for entry in self._entries:
+            if entry.subject == subject and entry.store == store \
+                    and entry.grants_all_fields:
+                if concrete is None:
+                    raise ModelError(
+                        f"field-scoped revoke on {store!r} requires "
+                        "store_fields to expand wildcard grants"
+                    )
+                entry = AclEntry(entry.subject, entry.store,
+                                 entry.permissions, concrete)
+                rewritten += 1
+            new_entries.append(entry)
+        if rewritten:
+            self._entries = new_entries
+            self._index = None
         return rewritten
 
     def is_allowed(self, subject: str, permission: Permission, store: str,
                    field_name: Optional[str] = None) -> bool:
-        """Whether any entry allows the operation (default-deny)."""
-        return any(
-            entry.covers(subject, permission, store, field_name)
-            for entry in self._entries
-        )
+        """Whether some entry allows the operation (default-deny).
+
+        Same answer as :meth:`AclEntry.covers` over every entry: a
+        ``None`` field asks about the store as a whole, and a wildcard
+        grant covers every field.
+        """
+        fields = self._compiled().get((subject, permission, store))
+        if fields is None:
+            return False
+        return field_name is None or ALL_FIELDS in fields \
+            or field_name in fields
 
     def subjects_allowed(self, permission: Permission, store: str,
                          field_name: Optional[str] = None) -> Set[str]:
         """All subjects with the permission on ``store`` (and field)."""
         return {
-            entry.subject for entry in self._entries
-            if entry.covers(entry.subject, permission, store, field_name)
+            subject for subject, granted, on in self._compiled()
+            if granted is permission and on == store
+            and self.is_allowed(subject, permission, store, field_name)
         }
 
     def entries_for(self, store: str) -> Tuple[AclEntry, ...]:

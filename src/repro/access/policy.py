@@ -7,6 +7,15 @@ It answers the two questions the paper's method needs:
 - *analysis*: which actors **could** read ``store.field``? (This drives
   the ``could identify`` state variables of section II.B and the
   "non-allowed actors with potential access" step of section III.A.)
+
+Generation, the taint closure, lint and parse-time validation ask
+these questions thousands of times per model, so neither is a scan: a
+query is a probe of the ACL's compiled index for the actor and for each
+role in the actor's memoised role closure. Both caches are dropped by
+the writes that can change them — :meth:`AccessPolicy.allow` and
+:meth:`AccessPolicy.revoke` (the ACL's), ``rbac.define_role`` and
+``rbac.assign`` (the role memo's). :meth:`AccessPolicy.register_actor`
+changes only the actor universe, which no cache holds.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set
 
 from ..errors import ModelError
-from .acl import ALL_FIELDS, AccessControlList, AclEntry, Permission
+from .acl import ALL_FIELDS, AccessControlList, Permission
 from .rbac import RbacPolicy
 
 
@@ -55,49 +64,21 @@ class AccessPolicy:
         fields".
         """
         if fields is not None:
-            self._expand_wildcards(subject, store, store_fields)
+            self.acl.expand_wildcards(subject, store, store_fields)
         return self.acl.revoke(subject, permission, store, fields)
-
-    def _expand_wildcards(self, subject: str, store: str,
-                          store_fields: Optional[Iterable[str]]) -> None:
-        entries = list(self.acl)
-        needs_expansion = [
-            e for e in entries
-            if e.subject == subject and e.store == store
-            and e.grants_all_fields
-        ]
-        if not needs_expansion:
-            return
-        if store_fields is None:
-            raise ModelError(
-                f"field-scoped revoke on {store!r} requires store_fields "
-                "to expand wildcard grants"
-            )
-        concrete = tuple(store_fields)
-        replacement = []
-        for entry in entries:
-            if entry in needs_expansion:
-                replacement.append(AclEntry(
-                    entry.subject, entry.store, entry.permissions, concrete))
-            else:
-                replacement.append(entry)
-        self.acl._entries = replacement  # same-package rewrite
-
-    # -- subject resolution ---------------------------------------------------
-
-    def _subjects_for(self, actor: str) -> Set[str]:
-        """The actor name plus every role the actor holds."""
-        return {actor} | self.rbac.roles_of(actor)
 
     # -- enforcement ----------------------------------------------------------
 
     def is_allowed(self, actor: str, permission: Permission, store: str,
                    field_name: Optional[str] = None) -> bool:
         """Whether ``actor`` (directly or via role) holds the permission."""
-        return any(
-            self.acl.is_allowed(subject, permission, store, field_name)
-            for subject in self._subjects_for(actor)
-        )
+        acl = self.acl
+        if acl.is_allowed(actor, permission, store, field_name):
+            return True
+        for role in self.rbac.roles_of(actor):
+            if acl.is_allowed(role, permission, store, field_name):
+                return True
+        return False
 
     def can_read(self, actor: str, store: str,
                  field_name: Optional[str] = None) -> bool:

@@ -5,12 +5,17 @@ RBAC complements the plain ACL (section II.A): ACL entries may name a
 role. Role hierarchies are supported — a senior role inherits every
 junior role's grants (e.g. ``clinician`` covering ``doctor`` and
 ``nurse``), which keeps healthcare-style policies short.
+
+:meth:`RbacPolicy.roles_of` memoises each actor's role closure, since
+every policy query asks it. :meth:`~RbacPolicy.define_role` and
+:meth:`~RbacPolicy.assign` drop the memo. Like the ACL's index, it is a
+cache, not content: it is neither pickled nor copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from ..errors import ModelError
 
@@ -38,6 +43,16 @@ class RbacPolicy:
     def __init__(self):
         self._roles: Dict[str, Role] = {}
         self._assignments: Dict[str, Set[str]] = {}
+        # actor -> every role held, inherited ones included; filled by
+        # roles_of, dropped by define_role and assign.
+        self._held: Dict[str, FrozenSet[str]] = {}
+
+    def __getstate__(self) -> dict:
+        return {"_roles": self._roles, "_assignments": self._assignments}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self.__dict__.update(state)
 
     # -- construction -----------------------------------------------------
 
@@ -47,6 +62,7 @@ class RbacPolicy:
         if name in self._roles:
             raise ModelError(f"role {name!r} is already defined")
         self._roles[name] = Role(name, tuple(parents))
+        self._held = {}
         return self
 
     def assign(self, actor: str, *roles: str) -> "RbacPolicy":
@@ -55,6 +71,7 @@ class RbacPolicy:
             raise ValueError("assign() needs at least one role")
         granted = self._assignments.setdefault(actor, set())
         granted.update(roles)
+        self._held = {}
         return self
 
     # -- validation --------------------------------------------------------
@@ -131,11 +148,16 @@ class RbacPolicy:
         return result
 
     def roles_of(self, actor: str) -> Set[str]:
-        """Every role the actor holds, including inherited ones."""
-        held: Set[str] = set()
-        for direct in self._assignments.get(actor, ()):
-            held |= self._closure(direct)
-        return held
+        """Every role the actor holds, including inherited ones.
+
+        A fresh set on every call: callers may mutate it freely."""
+        held = self._held.get(actor)
+        if held is None:
+            closure: Set[str] = set()
+            for direct in self._assignments.get(actor, ()):
+                closure |= self._closure(direct)
+            held = self._held[actor] = frozenset(closure)
+        return set(held)
 
     def has_role(self, actor: str, role: str) -> bool:
         return role in self.roles_of(actor)

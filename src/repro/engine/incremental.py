@@ -31,7 +31,7 @@ strictly fewer jobs than a cold sweep either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..dfd import SystemModel, canonical_system_dict
 from ..dfd.diff import ModelDiff, diff_models
@@ -101,11 +101,25 @@ def _non_acl_parts(system: SystemModel) -> str:
     return stable_hash(data)
 
 
+def _fingerprint_of(system: SystemModel,
+                    model_fps: Optional[Mapping[int, str]]) -> str:
+    known = model_fps.get(id(system)) if model_fps else None
+    return known if known is not None else model_fingerprint(system)
+
+
 def classify_invalidation(before: SystemModel,
-                          after: SystemModel) -> InvalidationPlan:
-    """Map the before -> after change onto the staged fingerprints."""
-    before_fp = model_fingerprint(before)
-    after_fp = model_fingerprint(after)
+                          after: SystemModel,
+                          model_fps: Optional[Mapping[int, str]] = None
+                          ) -> InvalidationPlan:
+    """Map the before -> after change onto the staged fingerprints.
+
+    ``model_fps`` optionally supplies already-known model hashes keyed
+    by ``id(system)``, the seed
+    :meth:`~repro.engine.runner.BatchEngine.run` takes: a model found
+    there is not re-hashed. Without it, both models are hashed.
+    """
+    before_fp = _fingerprint_of(before, model_fps)
+    after_fp = _fingerprint_of(after, model_fps)
     diff = diff_models(before, after)
     if before_fp == after_fp:
         return InvalidationPlan(
@@ -199,7 +213,9 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
               after: SystemModel,
               jobs: Sequence[AnalysisJob],
               screen: bool = False,
-              lint=False) -> ReanalysisOutcome:
+              lint=False,
+              model_fps: Optional[Mapping[int, str]] = None
+              ) -> ReanalysisOutcome:
     """Re-run a fleet after editing ``before`` into ``after``.
 
     ``jobs`` is the fleet's job list as originally analysed (its jobs
@@ -218,9 +234,19 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
     :meth:`~repro.engine.runner.BatchEngine.run` — strict lint refuses
     an edit that introduced ERROR-level diagnostics before any cache
     write.
+
+    ``model_fps`` is the optional ``id(system) -> hash`` seed of
+    :func:`classify_invalidation` and
+    :meth:`~repro.engine.runner.BatchEngine.run`; it is not modified.
+    The plan, the job loop and the engine run all share one table, so
+    each model is hashed at most once per call, and not at all when
+    the seed knows it (the service facade passes its model store's
+    hashes).
     """
-    plan = classify_invalidation(before, after)
-    model_fps: Dict[int, str] = {}
+    model_fps = dict(model_fps) if model_fps else {}
+    plan = classify_invalidation(before, after, model_fps)
+    model_fps[id(before)] = plan.before_fp
+    model_fps[id(after)] = plan.after_fp
     seeded_keys = set()
     taint_keys = set()
     new_jobs: List[AnalysisJob] = []
@@ -270,7 +296,8 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
         if lts is not None:
             engine.lts_cache.put(new_key, lts)
             lts_seeded += 1
-    batch = engine.run(new_jobs, screen=screen, lint=lint)
+    batch = engine.run(new_jobs, screen=screen, lint=lint,
+                       model_fps=model_fps)
     return ReanalysisOutcome(
         batch=batch, plan=plan, jobs=len(new_jobs),
         retargeted=retargeted, lts_seeded=lts_seeded,

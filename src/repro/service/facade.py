@@ -173,7 +173,8 @@ class AnalysisService:
         self._models: Dict[str, SystemModel] = {}
         #: ``id(system) -> model hash`` for every *stored* system —
         #: the store's key already is the stage-1 fingerprint, so
-        #: analysis requests seed the engine with it instead of
+        #: analysis and re-analysis requests seed the engine (and
+        #: ``reanalyze``'s invalidation plan) with it instead of
         #: re-canonicalising the model on every call. Sound because
         #: the store is append-only and holds its objects for the
         #: facade's lifetime (ids can never be reused), and stored
@@ -505,7 +506,8 @@ class AnalysisService:
         baseline = self._response(self._run(jobs))
         outcome = self._guard(reanalyze, self.engine, before, after,
                               jobs, False,
-                              _lint_mode(request.strict_lint))
+                              _lint_mode(request.strict_lint),
+                              self._known_fingerprints())
         return ReanalyzeResponse(
             baseline=baseline,
             outcome=self._response(outcome.batch),
@@ -516,12 +518,15 @@ class AnalysisService:
             retargeted=outcome.retargeted,
             lts_seeded=outcome.lts_seeded)
 
+    def _known_fingerprints(self) -> Dict[int, str]:
+        """A snapshot of the store's ``id(system) -> hash`` seed."""
+        with self._lock:
+            return dict(self._model_fps)
+
     def _run(self, jobs: List[AnalysisJob], screen: bool = False,
              lint=False) -> BatchResult:
-        with self._lock:
-            model_fps = dict(self._model_fps)
         return self._guard(self.engine.run, jobs, screen, lint,
-                           model_fps)
+                           self._known_fingerprints())
 
     @staticmethod
     def _guard(operation, *args):

@@ -1,6 +1,11 @@
 """Unit tests for repro.access: ACL, RBAC and the combined policy."""
 
+import pickle
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.access import (
     ALL_FIELDS,
@@ -11,6 +16,14 @@ from repro.access import (
     RbacPolicy,
 )
 from repro.errors import ModelError
+
+from reference_policy import (
+    reference_acl_is_allowed,
+    reference_actors_allowed,
+    reference_is_allowed,
+    reference_roles_of,
+    reference_subjects_allowed,
+)
 
 
 class TestPermission:
@@ -246,3 +259,155 @@ class TestAccessPolicy:
         copy = policy.copy()
         copy.allow("bob", "read", "ehr", ["diagnosis"])
         assert not policy.can_read("bob", "ehr", "diagnosis")
+
+
+class TestCompiledCaches:
+    def test_pickle_ignores_query_history(self):
+        policy = AccessPolicy(actors=["a"])
+        policy.rbac.define_role("r").assign("a", "r")
+        policy.allow("r", "read", "s", ["x"])
+        fresh = pickle.dumps(policy)
+        assert policy.can_read("a", "s", "x")
+        assert pickle.dumps(policy) == fresh
+        restored = pickle.loads(fresh)
+        assert restored.can_read("a", "s", "x")
+        assert not restored.can_read("a", "s", "y")
+
+    def test_racing_first_queries_agree_with_the_oracle(self):
+        """Eight threads make the first queries of one policy at once,
+        so they race to build the ACL index and fill the role memo."""
+        def build():
+            policy = AccessPolicy(actors=["a", "b", "c"])
+            policy.rbac.define_role("r").define_role("q", ["r"])
+            policy.rbac.assign("a", "q").assign("b", "r")
+            for store in ("s", "t", "u"):
+                policy.allow("r", "read", store, ["x"])
+                policy.allow("c", ["read", "delete"], store)
+            return policy
+
+        queries = [(actor, permission, store, field_name)
+                   for actor in ("a", "b", "c")
+                   for permission in Permission
+                   for store in ("s", "t", "u")
+                   for field_name in (None, "x", "y")]
+        reference = build()
+        expected = [reference_is_allowed(reference, *q) for q in queries]
+        policy = build()
+        seen = []
+
+        def read():
+            seen.append([policy.is_allowed(*q) for q in queries])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(answers == expected for answers in seen)
+
+
+# -- the compiled policy against the linear-scan oracle -----------------
+
+ACTORS = ("ana", "ben", "cy")
+ROLES = ("r1", "r2", "r3")
+STORES = ("s", "t")
+FIELDS = ("x", "y", "z")
+QUERY_FIELDS = (None, ALL_FIELDS) + FIELDS
+
+_subjects = st.sampled_from(ACTORS + ROLES + ("ghost",))
+_permission_names = st.sampled_from(("read", "create", "delete"))
+_field_sets = st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3,
+                       unique=True)
+_grant_fields = st.one_of(st.just([ALL_FIELDS]), _field_sets)
+_writes = st.one_of(
+    st.tuples(st.just("allow"), _subjects,
+              st.lists(_permission_names, min_size=1, max_size=3),
+              st.sampled_from(STORES), _grant_fields),
+    st.tuples(st.just("revoke"), _subjects,
+              st.sampled_from(tuple(Permission)), st.sampled_from(STORES),
+              st.one_of(st.none(), _field_sets),
+              st.sampled_from((FIELDS, None))),
+    st.tuples(st.just("define_role"), st.sampled_from(ROLES),
+              st.lists(st.sampled_from(ROLES), max_size=2, unique=True)),
+    st.tuples(st.just("assign"), st.sampled_from(ACTORS + ("dan",)),
+              st.lists(st.sampled_from(ROLES), min_size=1, max_size=2,
+                       unique=True)),
+    st.tuples(st.just("register_actor"),
+              st.sampled_from(ACTORS + ("dan",))),
+)
+
+
+def _apply(policy, write):
+    op, *args = write
+    if op == "allow":
+        subject, permissions, store, fields = args
+        policy.allow(subject, permissions, store, fields)
+    elif op == "revoke":
+        subject, permission, store, fields, store_fields = args
+        before = list(policy.acl)
+        try:
+            policy.revoke(subject, permission, store, fields,
+                          store_fields=store_fields)
+        except ModelError:
+            assert list(policy.acl) == before
+    elif op == "define_role":
+        name, parents = args
+        if not policy.rbac.is_role(name):
+            policy.rbac.define_role(name, parents)
+    elif op == "assign":
+        actor, roles = args
+        policy.rbac.assign(actor, *roles)
+    else:
+        policy.register_actor(*args)
+
+
+def _assert_matches_oracle(policy):
+    for actor in ACTORS + ("dan",) + ROLES:
+        roles = policy.rbac.roles_of(actor)
+        assert roles == reference_roles_of(policy.rbac, actor)
+        roles.add("intruder")   # a caller's mutation must not stick
+    for permission in Permission:
+        for store in STORES:
+            for field_name in QUERY_FIELDS:
+                for subject in ACTORS + ("dan",) + ROLES:
+                    assert policy.is_allowed(
+                        subject, permission, store, field_name) == \
+                        reference_is_allowed(policy, subject, permission,
+                                             store, field_name)
+                    assert policy.acl.is_allowed(
+                        subject, permission, store, field_name) == \
+                        reference_acl_is_allowed(policy.acl, subject,
+                                                 permission, store,
+                                                 field_name)
+                assert policy.actors_allowed(
+                    permission, store, field_name) == \
+                    reference_actors_allowed(policy, permission, store,
+                                             field_name)
+                assert policy.acl.subjects_allowed(
+                    permission, store, field_name) == \
+                    reference_subjects_allowed(policy.acl, permission,
+                                               store, field_name)
+    for store in STORES:
+        for field_name in QUERY_FIELDS:
+            assert policy.readers(store, field_name) == \
+                reference_actors_allowed(policy, Permission.READ, store,
+                                         field_name)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_writes, max_size=14))
+def test_compiled_policy_matches_linear_scan_after_every_write(writes):
+    """Every query agrees with the linear-scan oracle after every write,
+    so no write may leave a stale ACL index or role memo behind."""
+    policy = AccessPolicy(actors=ACTORS[:2])
+    _assert_matches_oracle(policy)
+    for write in writes:
+        _apply(policy, write)
+        _assert_matches_oracle(policy)

@@ -202,6 +202,61 @@ class TestReanalyze:
         assert response.outcome.stats.result_hits == 1
 
 
+class TestFingerprintOnce:
+    """A served re-analysis between stored models reuses the store's
+    hashes: the models are hashed at upload, never again."""
+
+    EDITED = MODEL.replace(
+        "    allow Auditor read on Records\n",
+        "    allow Auditor read on Records\n"
+        "    allow Auditor create on Records\n")
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        from repro.engine import incremental, runner
+        calls = []
+
+        def counting(system, _real=runner.model_fingerprint):
+            calls.append(system.name)
+            return _real(system)
+
+        monkeypatch.setattr(incremental, "model_fingerprint", counting)
+        monkeypatch.setattr(runner, "model_fingerprint", counting)
+        return calls
+
+    def _reanalyze(self, service):
+        request = ReanalyzeRequest(
+            before=ModelRef(hash=service.upload_model(MODEL)),
+            after=ModelRef(hash=service.upload_model(self.EDITED)),
+            user=USER, strict_lint=True)
+        return service.reanalyze(request)
+
+    def test_reanalyze_between_uploads_hashes_nothing(self, monkeypatch):
+        seeded = AnalysisService(backend="serial")
+        unseeded = AnalysisService(backend="serial")
+        try:
+            calls = self._count_fingerprints(monkeypatch)
+            response = self._reanalyze(seeded)
+            assert calls == []
+            monkeypatch.setattr(unseeded, "_known_fingerprints", dict)
+            reference = self._reanalyze(unseeded)
+            assert calls, "the unseeded service must hash the models"
+        finally:
+            seeded.close()
+            unseeded.close()
+        assert response.plan_level == reference.plan_level == "analyzers"
+        assert response.plan_reason == reference.plan_reason
+        assert response.plan_description == reference.plan_description
+        assert (response.jobs, response.retargeted,
+                response.lts_seeded) == (reference.jobs,
+                                         reference.retargeted,
+                                         reference.lts_seeded)
+        assert response.baseline.signatures() == \
+            reference.baseline.signatures()
+        assert response.outcome.signatures() == \
+            reference.outcome.signatures()
+
+
 class TestCacheLifecycle:
     def test_cache_stats_never_creates_stores(self, tmp_path):
         target = str(tmp_path / "nowhere")
