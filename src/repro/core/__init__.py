@@ -9,6 +9,7 @@ from .generation import (
     generate_lts,
 )
 from .lts import LTS, State, Transition, TransitionKind
+from .ltssource import LocalLtsSource, LtsSource
 from .statevars import (
     PrivacyVector,
     StateVariable,
@@ -24,6 +25,8 @@ __all__ = [
     "ModelGenerator",
     "generate_lts",
     "LTS",
+    "LtsSource",
+    "LocalLtsSource",
     "State",
     "Transition",
     "TransitionKind",

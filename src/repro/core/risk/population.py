@@ -56,6 +56,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..._util import ascii_table
 from ...dfd.model import SystemModel
 from ..actions import ActionType
+from ..generation import GenerationOptions
+from ..ltssource import LocalLtsSource, LtsSource
 from .disclosure import DisclosureRiskAnalyzer
 from .likelihood import LikelihoodModel
 from .matrix import RiskLevel, RiskMatrix
@@ -182,6 +184,20 @@ class PopulationReport:
         )
 
 
+def consent_group_options(system: SystemModel, users: Sequence
+                          ) -> Tuple[GenerationOptions, ...]:
+    """The generations a population analysis reads: one per distinct
+    agreed-service tuple among ``users``, in first-seen order (users
+    with no agreed service are skipped and read none)."""
+    options: Dict[Tuple[str, ...], GenerationOptions] = {}
+    for user in users:
+        agreed = tuple(user.agreed_services)
+        if agreed and agreed not in options:
+            options[agreed] = DisclosureRiskAnalyzer.default_options(
+                system, user)
+    return tuple(options.values())
+
+
 def _population_scores(system: SystemModel,
                        weights: Optional[ScoreWeights],
                        records) -> Tuple[Tuple[FieldScore, ...],
@@ -195,23 +211,26 @@ class PopulationAnalyzer:
 
     This is the *reference oracle*: a full
     :class:`DisclosureRiskAnalyzer` pass per user, retaining per-user
-    reports. LTS generations are cached by the user's agreed-service
-    set and the induced non-allowed actor set, so a Westin-style
-    population with a handful of distinct consent combinations costs a
-    handful of generations, not one per user — but the per-user
-    analysis itself still loops. Use
-    :class:`VectorizedPopulationAnalyzer` for large populations.
+    reports. LTSs come from ``source`` (default: a
+    :class:`~repro.core.ltssource.LocalLtsSource` of its own), which
+    generates each distinct consent combination once, so a
+    Westin-style population with a handful of them costs a handful of
+    generations, not one per user — but the per-user analysis itself
+    still loops. Use :class:`VectorizedPopulationAnalyzer` for large
+    populations.
     """
 
     def __init__(self, system: SystemModel,
                  likelihood: Optional[LikelihoodModel] = None,
                  matrix: Optional[RiskMatrix] = None,
                  weights: Optional[ScoreWeights] = None,
-                 records: Optional[Sequence] = None):
+                 records: Optional[Sequence] = None,
+                 source: Optional[LtsSource] = None):
         self.system = system
         self._analyzer = DisclosureRiskAnalyzer(system, likelihood,
                                                 matrix)
-        self._lts_cache: Dict[Tuple, object] = {}
+        self._lts_source = source if source is not None \
+            else LocalLtsSource()
         self._weights = weights
         self._records = records
 
@@ -224,7 +243,9 @@ class PopulationAnalyzer:
                 skipped.append(user.name)
                 continue
             report = self._analyzer.analyse(
-                user, lts=self._lts_for(user))
+                user, lts=self._lts_source.lts_for(
+                    self.system, DisclosureRiskAnalyzer.default_options(
+                        self.system, user)))
             reports.append(report)
             outcomes.append(UserOutcome(
                 user_name=user.name,
@@ -237,16 +258,6 @@ class PopulationAnalyzer:
         return PopulationReport(outcomes, reports, skipped,
                                 field_scores=field_scores,
                                 score_weights=weights)
-
-    def _lts_for(self, user):
-        from ..generation import ModelGenerator
-        options = DisclosureRiskAnalyzer.default_options(self.system, user)
-        key = (options.services, options.potential_read_actors)
-        cached = self._lts_cache.get(key)
-        if cached is None:
-            cached = self._lts_cache[key] = \
-                ModelGenerator(self.system).generate(options)
-        return cached
 
 
 class _GroupPlan:
@@ -285,13 +296,18 @@ class VectorizedPopulationAnalyzer:
     threshold, and the float ``max`` over each event's surviving
     sensitivities — the exact computation the per-user analyzer does,
     over the exact same value sets.
+
+    Each group's LTS comes from ``source`` (default: a
+    :class:`~repro.core.ltssource.LocalLtsSource` of its own; the
+    batch engine passes its memo).
     """
 
     def __init__(self, system: SystemModel,
                  likelihood: Optional[LikelihoodModel] = None,
                  matrix: Optional[RiskMatrix] = None,
                  weights: Optional[ScoreWeights] = None,
-                 records: Optional[Sequence] = None):
+                 records: Optional[Sequence] = None,
+                 source: Optional[LtsSource] = None):
         self.system = system
         self.likelihood = likelihood if likelihood is not None \
             else LikelihoodModel.example()
@@ -299,6 +315,8 @@ class VectorizedPopulationAnalyzer:
             else RiskMatrix.example()
         self._weights = weights
         self._records = records
+        self._lts_source = source if source is not None \
+            else LocalLtsSource()
         self._plans: Dict[Tuple[str, ...], _GroupPlan] = {}
         self._compiler = None
 
@@ -346,12 +364,11 @@ class VectorizedPopulationAnalyzer:
     def _compile_plan(self, agreed: Tuple[str, ...], representative
                       ) -> _GroupPlan:
         from ...consent.personas import ConsentMaskCompiler
-        from ..generation import ModelGenerator
 
         options = DisclosureRiskAnalyzer.default_options(
             self.system, representative)
         non_allowed = options.potential_read_actors
-        lts = ModelGenerator(self.system).generate(options)
+        lts = self._lts_source.lts_for(self.system, options)
         registry = lts.registry
         if self._compiler is None:
             self._compiler = ConsentMaskCompiler(self.system, registry)

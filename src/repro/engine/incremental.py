@@ -35,6 +35,7 @@ from typing import List, Mapping, Optional, Sequence
 
 from ..dfd import SystemModel, canonical_system_dict
 from ..dfd.diff import ModelDiff, diff_models
+from ..errors import ReproError
 from ..taint import TaintCertificate
 from .fingerprint import (lts_stage_key, model_fingerprint, stable_hash,
                           taint_stage_key)
@@ -228,7 +229,10 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
 
     The engine should be the one that ran the original batch (or share
     its ``cache_dir``); with a cold engine this degrades gracefully to
-    a plain run. Results carry the *new* model's fingerprints — they
+    a plain run. Every LTS key a retargeted job reads
+    (:meth:`~repro.engine.kinds.AnalysisKind.lts_options`: a consent
+    change's two sides, a population's consent groups) is re-seeded.
+    Results carry the *new* model's fingerprints — they
     are byte-identical to what a cold run over the edited fleet
     produces. ``screen``/``lint`` pass through to
     :meth:`~repro.engine.runner.BatchEngine.run` — strict lint refuses
@@ -283,19 +287,24 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
                         new_taint_key,
                         certificate.rebind(plan.after_fp))
                     taint_seeded += 1
-        if not plan.reuses_lts or not kind.uses_lts:
+        if not plan.reuses_lts:
             continue
-        if plan.level_for(options) != INVALIDATES_ANALYZERS:
-            continue
-        old_key = lts_stage_key(plan.before_fp, options)
-        new_key = lts_stage_key(plan.after_fp, options)
-        if new_key in seeded_keys:
-            continue
-        seeded_keys.add(new_key)
-        lts = engine.lts_cache.get(old_key)
-        if lts is not None:
-            engine.lts_cache.put(new_key, lts)
-            lts_seeded += 1
+        try:
+            declared = kind.lts_options(new_job)
+        except ReproError:
+            continue    # the run reports the job's error
+        for lts_options in declared:
+            if plan.level_for(lts_options) != INVALIDATES_ANALYZERS:
+                continue
+            new_key = lts_stage_key(plan.after_fp, lts_options)
+            if new_key in seeded_keys:
+                continue
+            seeded_keys.add(new_key)
+            lts = engine.lts_cache.get(
+                lts_stage_key(plan.before_fp, lts_options))
+            if lts is not None:
+                engine.lts_cache.put(new_key, lts)
+                lts_seeded += 1
     batch = engine.run(new_jobs, screen=screen, lint=lint,
                        model_fps=model_fps)
     return ReanalysisOutcome(

@@ -65,8 +65,12 @@ class JobResult:
 
     ``signature()`` is the semantic content — what must be identical
     between a serial and a parallel run, or between a computed and a
-    cached result. ``from_cache``/``lts_generated``/``duration`` are
-    execution metadata and excluded from it.
+    cached result. ``from_cache``/``lts_generated``/``lts_reused``/
+    ``duration`` are execution metadata and excluded from it;
+    ``lts_generated`` is True when the job generated at least one LTS,
+    ``lts_reused`` when every LTS it read came from the memo (it does
+    not cross the wire: a fleet dispatcher sets it from the stats of
+    the worker's one-job response).
 
     ``events`` holds disclosure-style risk events (kinds that produce
     none leave it empty); ``details`` is the kind's own flattened
@@ -88,6 +92,7 @@ class JobResult:
     kind: str = "disclosure"
     details: Tuple[Tuple[str, Any], ...] = ()
     lts_generated: bool = True
+    lts_reused: bool = False
     from_cache: bool = False
     duration: float = 0.0
 
@@ -112,7 +117,8 @@ class JobResult:
         return replace(
             self, job_id=job.job_id, scenario=job.scenario,
             family=job.family, variant=job.variant,
-            from_cache=True, lts_generated=False, duration=0.0)
+            from_cache=True, lts_generated=False, lts_reused=False,
+            duration=0.0)
 
 
 def summarize_events(report: DisclosureRiskReport

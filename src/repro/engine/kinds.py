@@ -8,7 +8,10 @@ re-identification exposure (V). Each of those is an
 - its **analyzer-stage cache key** (which parts of the engine
   configuration its outcome depends on),
 - its **default generation options** (what LTS it wants, if any),
-- how to **analyse** one job into a flat, picklable outcome, and
+- the **LTS option sets** it reads (:meth:`AnalysisKind.lts_options`),
+- how to **analyse** one job into a flat, picklable outcome, reading
+  every LTS from the :class:`~repro.core.ltssource.LtsSource` it is
+  handed, and
 - how to **aggregate** its results at fleet level.
 
 Kinds are module-level singletons registered by name, so they pickle
@@ -22,12 +25,13 @@ valid.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import (Any, ClassVar, Dict, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from ..consent.personas import simulate_users
-from ..core import GenerationOptions
+from ..core import GenerationOptions, LtsSource
 from ..core.lts import LTS
 from ..core.risk import (
     DisclosureRiskAnalyzer,
@@ -38,8 +42,10 @@ from ..core.risk import (
     RiskMatrix,
     analyse_consent_change,
 )
+from ..core.risk.consentchange import consent_change_options
 from ..core.risk.population import (PopulationAnalyzer,
-                                    VectorizedPopulationAnalyzer)
+                                    VectorizedPopulationAnalyzer,
+                                    consent_group_options)
 from ..core.risk.pseudonym import default_policy_for
 from ..core.risk.scores import ScoreWeights
 from ..core.risk.valuerisk import ValueRiskPolicy
@@ -119,9 +125,11 @@ class AnalyzerConfig:
 class KindOutcome(NamedTuple):
     """What one kind's ``analyse`` produces for one job.
 
-    ``lts`` is the LTS the job's state and transition counts come
-    from, when it is not the one ``analyse`` was given (the pseudonym
-    kind's fork, which holds its injected risk transitions).
+    ``lts`` names the LTS whose state and transition counts the job
+    reports: the LTS the kind analysed (for the pseudonym kind, its
+    fork holding the injected risk transitions). None reports 0 for
+    both — the kinds that read several LTSs (consent_change,
+    population) or none (taint).
     """
 
     max_level: str
@@ -140,10 +148,6 @@ class AnalysisKind:
 
     #: Registry name; the value of :attr:`AnalysisJob.kind`.
     name: ClassVar[str] = ""
-    #: Whether ``analyse`` consumes a generated LTS (and therefore
-    #: participates in the LTS-stage cache). Kinds that orchestrate
-    #: their own generations (consent what-ifs) opt out.
-    uses_lts: ClassVar[bool] = True
     #: Whether a clean taint certificate proves this kind's outcome is
     #: zero-event, letting ``BatchEngine.run(screen=True)`` skip exact
     #: generation. Only sound for kinds whose events are exactly the
@@ -158,15 +162,30 @@ class AnalysisKind:
     def default_options(self, job: AnalysisJob
                         ) -> Optional[GenerationOptions]:
         """The generation this kind wants when the job names none
-        (None for kinds that generate internally)."""
+        (None for kinds that read several LTSs, or none)."""
         raise NotImplementedError
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def options_of(self, job: AnalysisJob
+                   ) -> Optional[GenerationOptions]:
+        """The job's own generation: explicit options win, else the
+        kind's default."""
+        return job.options if job.options is not None \
+            else self.default_options(job)
+
+    def lts_options(self, job: AnalysisJob
+                    ) -> Tuple[GenerationOptions, ...]:
+        """Every generation ``analyse`` reads from its source for
+        ``job`` — the LTS keys :func:`repro.engine.incremental
+        .reanalyze` re-seeds when an edit leaves LTSs intact. Default:
+        the job's own generation."""
+        return (self.options_of(job),)
+
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
-        """Run the analysis; ``lts`` is frozen and may be shared with
-        other jobs and threads (a kind that adds to it analyses a
-        :meth:`~repro.core.lts.LTS.fork`), and None when
-        :attr:`uses_lts` is False."""
+        """Run the analysis, reading each LTS it needs from
+        ``source``. Those LTSs are frozen and may be shared with other
+        jobs and threads: a kind that adds to one analyses a
+        :meth:`~repro.core.lts.LTS.fork`."""
         raise NotImplementedError
 
     def screen_outcome(self, job: AnalysisJob,
@@ -206,8 +225,9 @@ class DisclosureKind(AnalysisKind):
         return DisclosureRiskAnalyzer.default_options(job.system,
                                                       job.user)
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
+        lts = source.lts_for(job.system, self.options_of(job))
         analyzer = DisclosureRiskAnalyzer(
             job.system, config.likelihood, config.matrix)
         report = analyzer.analyse(job.user, lts=lts)
@@ -216,6 +236,7 @@ class DisclosureKind(AnalysisKind):
             events=summarize_events(report),
             non_allowed_actors=report.non_allowed_actors,
             details=(),
+            lts=lts,
         )
 
     def aggregate(self, results: Sequence) -> Dict[str, Any]:
@@ -242,7 +263,6 @@ class TaintKind(AnalysisKind):
     """
 
     name = "taint"
-    uses_lts = False
 
     #: How many flagged pairs / witness steps the job details carry.
     DETAIL_LIMIT = 8
@@ -255,13 +275,15 @@ class TaintKind(AnalysisKind):
         return DisclosureRiskAnalyzer.default_options(job.system,
                                                       job.user)
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def lts_options(self, job: AnalysisJob
+                    ) -> Tuple[GenerationOptions, ...]:
+        return ()
+
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         from ..taint import certificate_from_report, compute_taint
         from .fingerprint import model_fingerprint
-        options = job.options if job.options is not None \
-            else self.default_options(job)
-        report = compute_taint(job.system, options)
+        report = compute_taint(job.system, self.options_of(job))
         certificate = certificate_from_report(
             report, job.system, model_fingerprint(job.system))
         non_allowed = tuple(sorted(
@@ -358,8 +380,9 @@ class PseudonymKind(AnalysisKind):
                 details=(("applicable", False),))
         return None
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
+        lts = source.lts_for(job.system, self.options_of(job))
         policy = self._policy(job, config)
         applicable = (
             policy is not None
@@ -369,7 +392,7 @@ class PseudonymKind(AnalysisKind):
             return KindOutcome(
                 max_level=RiskLevel.NONE.value, events=(),
                 non_allowed_actors=(),
-                details=(("applicable", False),))
+                details=(("applicable", False),), lts=lts)
         analyzer = PseudonymisationRiskAnalyzer(
             job.system, policy, dataset=config.dataset,
             record_field_map=config.field_map())
@@ -421,10 +444,13 @@ class ConsentChangeKind(AnalysisKind):
     service — the most common real change. The outcome's ``max_level``
     is the *post-change* risk (the answer the what-if asks for);
     before/after levels travel in the details.
+
+    Both sides' LTSs come from the engine's LTS source, so the
+    "before" side is the very LTS the user's disclosure job reads. The
+    job reports 0 states and transitions: it reads up to two LTSs.
     """
 
     name = "consent_change"
-    uses_lts = False
 
     def analyzer_key(self, config: AnalyzerConfig) -> tuple:
         return ("consent_change",
@@ -449,12 +475,19 @@ class ConsentChangeKind(AnalysisKind):
             withdraw = (job.user.agreed_services[0],)
         return agree, withdraw
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def lts_options(self, job: AnalysisJob
+                    ) -> Tuple[GenerationOptions, ...]:
+        agree, withdraw = self.change_of(job)
+        return consent_change_options(job.system, job.user,
+                                      agree=agree, withdraw=withdraw)
+
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         agree, withdraw = self.change_of(job)
         report = analyse_consent_change(
             job.system, job.user, agree=agree, withdraw=withdraw,
-            likelihood=config.likelihood, matrix=config.matrix)
+            likelihood=config.likelihood, matrix=config.matrix,
+            source=source)
         after_events = summarize_events(report.after) \
             if report.after is not None else ()
         return KindOutcome(
@@ -503,13 +536,14 @@ class ReidentifyKind(AnalysisKind):
     def default_options(self, job: AnalysisJob) -> GenerationOptions:
         return GenerationOptions()
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
+        lts = source.lts_for(job.system, self.options_of(job))
         if config.dataset is None:
             return KindOutcome(
                 max_level=RiskLevel.NONE.value, events=(),
                 non_allowed_actors=(),
-                details=(("scored", False), ("findings", 0)))
+                details=(("scored", False), ("findings", 0)), lts=lts)
         annotator = ReidentificationAnnotator(
             config.dataset, population=config.population,
             record_field_map=config.field_map(),
@@ -531,7 +565,8 @@ class ReidentifyKind(AnalysisKind):
                 ("findings", len(findings)),
                 ("worst_risk", round(worst, 6)),
                 ("paths", tuple(f.summary_tuple() for f in findings)),
-            ))
+            ),
+            lts=lts)
 
     def aggregate(self, results: Sequence) -> Dict[str, Any]:
         rollup = super().aggregate(results)
@@ -562,18 +597,19 @@ class PopulationKind(AnalysisKind):
     so one request answers both "how exposed am I" and "how exposed is
     everyone like me".
 
-    The kind orchestrates its own per-consent-set generations (the
-    population analyzers memoise them internally), so it opts out of
-    the engine's LTS memo. Outcome ``max_level`` is the worst user's
-    maximum risk; the details carry the histogram, the unacceptable
-    fraction, the hot-spot grants whose removal would help the most
-    users, and the decomposable privacy-score breakdown (per-field
+    Each consent group's LTS comes from the engine's LTS source (one
+    per group, :meth:`lts_options`), so a group whose LTS a disclosure
+    job or an earlier population job already generated costs a memo
+    hit; the job reports 0 states and transitions. Outcome
+    ``max_level`` is the worst user's maximum risk; the details carry
+    the histogram, the unacceptable fraction, the hot-spot grants
+    whose removal would help the most users, and the decomposable
+    privacy-score breakdown (per-field
     semantic/uniqueness/linkability sub-scores and their weighted
     composite — see :mod:`repro.core.risk.scores`).
     """
 
     name = "population"
-    uses_lts = False
 
     #: Which evaluator runs the population: ``"vectorized"`` (the
     #: batch mask pass) or ``"looped"`` (the per-user reference
@@ -635,7 +671,21 @@ class PopulationKind(AnalysisKind):
         params = job.params or {}
         return ScoreWeights.from_params(params.get("weights"))
 
-    def analyse(self, job: AnalysisJob, lts: Optional[LTS],
+    #: Populations :meth:`lts_options` simulated, by ``id(job)``, for
+    #: that job's :meth:`analyse` to take over: ``reanalyze`` declares
+    #: a job's keys, then runs it, and a large population must not be
+    #: simulated twice. An entry lives no longer than its job.
+    _declared: ClassVar[Dict[int, list]] = {}
+
+    def lts_options(self, job: AnalysisJob
+                    ) -> Tuple[GenerationOptions, ...]:
+        users = self.population_of(job)
+        if id(job) not in self._declared:
+            weakref.finalize(job, self._declared.pop, id(job), None)
+        self._declared[id(job)] = users
+        return consent_group_options(job.system, users)
+
+    def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         weights = self.weights_of(job)
         if self.implementation == "vectorized":
@@ -648,8 +698,10 @@ class PopulationKind(AnalysisKind):
                 f"{self.implementation!r}")
         analyzer = analyzer_cls(
             job.system, config.likelihood, config.matrix,
-            weights=weights, records=config.population)
-        report = analyzer.analyse(self.population_of(job))
+            weights=weights, records=config.population, source=source)
+        users = self._declared.pop(id(job), None)
+        report = analyzer.analyse(
+            users if users is not None else self.population_of(job))
         worst = max((o.max_level for o in report.outcomes),
                     default=RiskLevel.NONE)
         histogram = tuple(

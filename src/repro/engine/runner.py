@@ -11,11 +11,12 @@ Execution pipeline, per :meth:`BatchEngine.run` call:
    line), ``thread`` (:class:`~concurrent.futures.ThreadPoolExecutor`)
    or ``process`` (:class:`~concurrent.futures.ProcessPoolExecutor`).
 4. Inside each worker, the job's :class:`~repro.engine.kinds
-   .AnalysisKind` runs. LTS-consuming kinds go through the **LTS
-   memo**: an in-memory LRU holding one frozen LTS per (model,
-   options) pair, generated once and shared as is by every job and
-   thread worker whose stage-2 key agrees, whatever its kind. Process
-   workers each keep their own memo.
+   .AnalysisKind` runs on an :class:`~repro.core.ltssource.LtsSource`
+   backed by the **LTS memo**: an in-memory LRU holding one frozen LTS
+   per (model, options) pair, generated once and shared as is by every
+   job and thread worker whose stage-2 key agrees, whatever its kind —
+   a consent change's two sides and a population's consent groups
+   included. Process workers each keep their own memo.
 5. Results return **in submission order**, regardless of backend or
    completion order, and are written back to the result cache.
 
@@ -26,6 +27,7 @@ job short-circuits at step 2.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from concurrent import futures
@@ -41,7 +43,7 @@ from typing import (
     Union,
 )
 
-from ..core import GenerationOptions, ModelGenerator
+from ..core import GenerationOptions, LtsSource, ModelGenerator
 from ..core.risk import LikelihoodModel, RiskLevel, RiskMatrix
 from ..dfd.validation import Severity
 from ..errors import LintError
@@ -49,7 +51,7 @@ from ..lint import Diagnostic, run_lint
 from ..taint import TaintCertificate, build_certificate
 from .cache import LRUCache, build_cache
 from .fingerprint import (job_fingerprint, lint_stage_key,
-                          lts_cache_key, model_fingerprint,
+                          lts_stage_key, model_fingerprint,
                           taint_stage_key)
 from .jobs import AnalysisJob, JobResult
 from .kinds import AnalyzerConfig, KindOutcome, get_kind
@@ -68,6 +70,10 @@ class EngineStats:
     result_hits: int = 0
     executed: int = 0
     deduplicated: int = 0
+    #: Executed jobs whose LTS source generated at least one LTS /
+    #: served every LTS the job read from the memo. A job counts once
+    #: however many LTSs it reads; jobs that read none (taint) count
+    #: in neither.
     lts_generations: int = 0
     lts_reuses: int = 0
     wall_time: float = 0.0
@@ -123,42 +129,73 @@ class BatchResult:
 
 
 def resolve_options(job: AnalysisJob) -> Optional[GenerationOptions]:
-    """The effective generation options of a job.
+    """The effective generation options of a job: an alias of
+    ``get_kind(job.kind).options_of(job)``
+    (:meth:`~repro.engine.kinds.AnalysisKind.options_of`), kept as the
+    engine's exported name for it."""
+    return get_kind(job.kind).options_of(job)
 
-    Explicit options win; otherwise the job's kind decides (for
-    disclosure: the user's agreed services with potential reads for
-    every non-allowed actor, mirroring
-    :meth:`~repro.core.risk.disclosure.DisclosureRiskAnalyzer.analyse`).
-    Kinds that run their own generations resolve to None.
+
+class _MemoLtsSource(LtsSource):
+    """One job's view of an LTS memo, counting what it served.
+
+    The memo holds live, frozen LTSs under their stage-2 keys: every
+    job on a key (and every thread worker) analyses the same object.
+    ``locks`` (striped by key) make a miss generate once even when
+    thread workers race for the same key; a process worker runs one
+    job at a time and passes none.
     """
-    if job.options is not None:
-        return job.options
-    return get_kind(job.kind).default_options(job)
+
+    __slots__ = ("_cache", "_locks", "_system", "_model_fp",
+                 "_generator", "generated", "reused")
+
+    def __init__(self, cache, system, model_fp: str,
+                 locks: Optional[Sequence[threading.Lock]] = None):
+        self._cache = cache
+        self._locks = locks
+        self._system = system
+        self._model_fp = model_fp
+        self._generator: Optional[ModelGenerator] = None
+        self.generated = 0
+        self.reused = 0
+
+    def lts_for(self, system, options):
+        if system is not self._system:
+            raise ValueError(
+                "an engine LTS source serves its job's model only")
+        key = lts_stage_key(self._model_fp, options)
+        if self._locks is None:
+            return self._recall(key, options)
+        with self._locks[hash(key) % len(self._locks)]:
+            return self._recall(key, options)
+
+    def _recall(self, key: str, options):
+        lts = self._cache.get(key)
+        if lts is not None:
+            self.reused += 1
+            return lts
+        if self._generator is None:
+            self._generator = ModelGenerator(self._system)
+        lts = self._generator.generate(options).freeze()
+        self._cache.put(key, lts)
+        self.generated += 1
+        return lts
 
 
 def _run_analysis(job: AnalysisJob, fingerprint: str,
                   options: Optional[GenerationOptions],
-                  config: AnalyzerConfig,
-                  lts_cache, model_fp: str) -> JobResult:
-    """Recall (or generate) the LTS, run the job's kind, flatten."""
+                  config: AnalyzerConfig, lts_cache, model_fp: str,
+                  locks: Optional[Sequence[threading.Lock]] = None
+                  ) -> JobResult:
+    """Run the job's kind on a memo-backed LTS source, flatten."""
     start = time.perf_counter()
-    kind = get_kind(job.kind)
-    lts = None
-    generated = False
-    if kind.uses_lts:
-        key = lts_cache_key(job.system, options, model_fp=model_fp)
-        # The memo holds live, frozen LTSs: every job on this key (and
-        # every thread worker) analyses the same object. Kinds only
-        # read it; the pseudonym kind writes on a fork of its own.
-        lts = lts_cache.get(key) if lts_cache is not None else None
-        generated = lts is None
-        if generated:
-            lts = ModelGenerator(job.system).generate(options).freeze()
-            if lts_cache is not None:
-                lts_cache.put(key, lts)
-    outcome = kind.analyse(job, lts, config)
-    if outcome.lts is not None:
-        lts = outcome.lts
+    if job.options is None and options is not None:
+        # The kind reads its resolved generation from the job instead
+        # of deriving the default again.
+        job = replace(job, options=options)
+    source = _MemoLtsSource(lts_cache, job.system, model_fp, locks)
+    outcome = get_kind(job.kind).analyse(job, source, config)
+    lts = outcome.lts
     return JobResult(
         job_id=job.job_id,
         scenario=job.scenario,
@@ -173,7 +210,8 @@ def _run_analysis(job: AnalysisJob, fingerprint: str,
         non_allowed_actors=outcome.non_allowed_actors,
         kind=job.kind,
         details=outcome.details,
-        lts_generated=generated,
+        lts_generated=source.generated > 0,
+        lts_reused=source.generated == 0 and source.reused > 0,
         duration=time.perf_counter() - start,
     )
 
@@ -249,7 +287,7 @@ class SerialBackend(Backend):
         for fingerprint, job, options, model_fp in prepared:
             yield fingerprint, _run_analysis(
                 job, fingerprint, options, engine.config,
-                engine.lts_cache, model_fp)
+                engine.lts_cache, model_fp, engine._lts_locks)
 
 
 class ThreadBackend(Backend):
@@ -262,7 +300,8 @@ class ThreadBackend(Backend):
         with futures.ThreadPoolExecutor(engine.workers) as pool:
             tasks = [
                 pool.submit(_run_analysis, job, fingerprint, options,
-                            engine.config, engine.lts_cache, model_fp)
+                            engine.config, engine.lts_cache, model_fp,
+                            engine._lts_locks)
                 for fingerprint, job, options, model_fp in prepared
             ]
             for (fingerprint, *_), task in zip(prepared, tasks):
@@ -382,6 +421,9 @@ class BatchEngine:
                 if cache_dir is not None else None)
         self.lts_cache = lts_cache if lts_cache is not None \
             else LRUCache(memory_entries)
+        #: Striped locks single-flighting LTS generation per memo key
+        #: across thread workers.
+        self._lts_locks = tuple(threading.Lock() for _ in range(16))
         self.taint_cache = build_cache(
             memory_entries,
             os.path.join(cache_dir, "taint")
@@ -692,7 +734,7 @@ class BatchEngine:
             stats.executed += 1
             if result.lts_generated:
                 stats.lts_generations += 1
-            elif get_kind(result.kind).uses_lts:
+            elif result.lts_reused:
                 stats.lts_reuses += 1
             first, *rest = pending[fingerprint]
             results[first] = result

@@ -600,7 +600,12 @@ class FleetDispatcher:
                 raise FleetError(
                     f"worker {worker} answered {len(response.results)} "
                     "results for a single-job shard")
-            yield shard, response.results[0]
+            result = response.results[0]
+            if response.stats.lts_reuses:
+                # ``lts_reused`` is not on the wire; the worker's stats
+                # for this one-job request say it.
+                result = replace(result, lts_reused=True)
+            yield shard, result
             yield None, response.stats
 
     # -- phases ------------------------------------------------------------

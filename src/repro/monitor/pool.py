@@ -3,8 +3,9 @@
 A deployed service has one privacy-state instance *per user* (paper
 §III). The :class:`MonitorPool` manages that fleet: it lazily creates
 one :class:`~repro.monitor.tracker.PrivacyMonitor` per user over a
-shared LTS (one per consent combination, cached) and a risk table (one
-per consent combination and sensitivity profile, cached), routes
+shared, frozen LTS (one per consent combination, from an
+:class:`~repro.core.ltssource.LtsSource`) and a risk table (one per
+consent combination and sensitivity profile, cached), routes
 events by user id, and aggregates alerts — the operational surface of
 "monitor the privacy risks during the lifetime of the service".
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.generation import ModelGenerator
+from ..core.ltssource import LocalLtsSource
 from ..core.risk.disclosure import DisclosureRiskAnalyzer
 from ..dfd.model import SystemModel
 from ..errors import MonitorError
@@ -35,6 +36,11 @@ class MonitorPool:
     on_alert:
         Callback ``(user_name, alert)`` invoked for every alert raised
         by any user's monitor.
+
+    The pooled LTSs come from the pool's own
+    :class:`~repro.core.ltssource.LocalLtsSource`, which generates each
+    consent combination once. They are frozen: no user's monitor may
+    write on another's LTS.
     """
 
     def __init__(self, system: SystemModel,
@@ -43,10 +49,9 @@ class MonitorPool:
         self.system = system
         self._analyzer = analyzer if analyzer is not None \
             else DisclosureRiskAnalyzer(system)
-        self._generator = ModelGenerator(system)
+        self._lts_source = LocalLtsSource()
         self._on_alert = on_alert
         self._monitors: Dict[str, PrivacyMonitor] = {}
-        self._lts_cache: Dict[Tuple, object] = {}
         self._risk_cache: Dict[Tuple, object] = {}
 
     # -- registration -------------------------------------------------------
@@ -89,14 +94,9 @@ class MonitorPool:
         neither: it grades alerts in each user's own monitor.
         """
         options = self._analyzer.default_options(self.system, user)
-        lts_key = (options.services, options.potential_read_actors)
-        lts = self._lts_cache.get(lts_key)
-        if lts is None:
-            # Frozen: no user's monitor may write on another's LTS.
-            lts = self._lts_cache[lts_key] = \
-                self._generator.generate(options).freeze()
+        lts = self._lts_source.lts_for(self.system, options)
         risk_key = (
-            lts_key,
+            options.cache_key(),
             tuple(sorted(user.sensitivity.as_dict().items())),
             user.sensitivity.default,
         )
@@ -164,5 +164,5 @@ class MonitorPool:
     def __repr__(self) -> str:
         return (
             f"MonitorPool(users={len(self._monitors)}, "
-            f"cached_lts={len(self._lts_cache)})"
+            f"cached_lts={len(self._lts_source)})"
         )

@@ -450,6 +450,10 @@ class AnalysisService:
         the first yield so front-ends can still answer a typed error
         status; mid-stream failures surface as the generator's
         exception, which front-ends turn into a final error line.
+
+        The stream's one-job runs share one ``id(system) -> hash``
+        table, seeded from the model store, so each of the sweep's
+        models is hashed once per stream, not once per job.
         """
         indexed_jobs = self._sweep_jobs(request)
 
@@ -457,12 +461,17 @@ class AnalysisService:
             from .messages import result_to_dict, stats_to_dict
             results = []
             merged = None
+            model_fps = self._known_fingerprints()
             for index, job in indexed_jobs:
                 if should_stop is not None and should_stop():
                     return
+                if id(job.system) not in model_fps:
+                    model_fps[id(job.system)] = \
+                        model_fingerprint(job.system)
                 batch = self._run(
                     [job], screen=request.screen,
-                    lint=_lint_mode(request.strict_lint))
+                    lint=_lint_mode(request.strict_lint),
+                    model_fps=model_fps)
                 result = batch.results[0]
                 results.append(result)
                 merged = _merge_stats(merged, batch.stats)
@@ -524,9 +533,14 @@ class AnalysisService:
             return dict(self._model_fps)
 
     def _run(self, jobs: List[AnalysisJob], screen: bool = False,
-             lint=False) -> BatchResult:
+             lint=False,
+             model_fps: Optional[Dict[int, str]] = None) -> BatchResult:
+        """Run ``jobs`` on the engine, seeded with ``model_fps`` (by
+        default, a snapshot of the store's hashes)."""
+        if model_fps is None:
+            model_fps = self._known_fingerprints()
         return self._guard(self.engine.run, jobs, screen, lint,
-                           self._known_fingerprints())
+                           model_fps)
 
     @staticmethod
     def _guard(operation, *args):

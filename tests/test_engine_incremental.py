@@ -253,6 +253,80 @@ class TestReanalyze:
         assert [r.kind for r in outcome.batch.results] == \
             ["disclosure", "pseudonym", "consent_change"]
 
+    def test_source_kinds_reseed_every_declared_key(self, monkeypatch):
+        """consent_change and population read several LTSs each; an
+        analyzers-only edit re-seeds all of them, so the re-run
+        generates nothing and matches a cold engine on the edit."""
+        from repro.core import ModelGenerator
+        from repro.engine import get_kind
+        before = build_surgery_system()
+        jobs = [AnalysisJob(system=before, user=surgery_patient(),
+                            kind=kind,
+                            params={"count": 16, "seed": 3}
+                            if kind == "population" else None)
+                for kind in ("consent_change", "population")]
+        engine = BatchEngine()
+        engine.run(jobs)
+        generated = []
+        original = ModelGenerator.generate
+
+        def recording(self, options=None):
+            generated.append(options)
+            return original(self, options)
+
+        monkeypatch.setattr(ModelGenerator, "generate", recording)
+        after = _create_grant_edit()
+        outcome = reanalyze(engine, before, after, jobs)
+        assert outcome.plan.level == INVALIDATES_ANALYZERS
+        assert generated == []
+        assert outcome.batch.stats.executed == len(jobs)
+        assert outcome.batch.stats.lts_generations == 0
+        assert outcome.batch.stats.lts_reuses == len(jobs)
+        declared = {options.cache_key() for job in jobs
+                    for options in get_kind(job.kind).lts_options(job)}
+        assert outcome.lts_seeded == len(declared) > 2
+        monkeypatch.undo()
+        cold = BatchEngine().run(
+            [AnalysisJob(system=after, user=job.user, kind=job.kind,
+                         params=job.params) for job in jobs])
+        assert [r.signature() for r in outcome.batch.results] == \
+            [r.signature() for r in cold.results]
+
+    def test_population_is_simulated_once(self, monkeypatch):
+        """Declaring a population job's keys simulates its users; the
+        run that follows analyses those users instead of drawing them
+        again, and keeps nothing once it has."""
+        import gc
+
+        from repro.engine import kinds
+        before = build_surgery_system()
+        job = AnalysisJob(system=before, user=surgery_patient(),
+                          kind="population",
+                          params={"count": 16, "seed": 3})
+        engine = BatchEngine()
+        engine.run([job])
+        draws = []
+        original = kinds.simulate_users
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kinds, "simulate_users", counting)
+        pending = set(kinds.PopulationKind._declared)
+        outcome = reanalyze(engine, before, _create_grant_edit(), [job])
+        assert outcome.lts_seeded >= 1
+        assert len(draws) == 1
+        assert set(kinds.PopulationKind._declared) <= pending
+        declared = AnalysisJob(system=before, user=surgery_patient(),
+                               kind="population", params=job.params)
+        kinds.get_kind("population").lts_options(declared)
+        assert id(declared) in kinds.PopulationKind._declared
+        key = id(declared)
+        del declared
+        gc.collect()
+        assert key not in kinds.PopulationKind._declared
+
     def test_describe_summarises_the_run(self):
         before = build_surgery_system()
         engine = BatchEngine()

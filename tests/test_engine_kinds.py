@@ -275,13 +275,29 @@ class TestConsentChangeKind:
                     "agree": [RESEARCH_SERVICE]})
         assert engine.fingerprint(first) == engine.fingerprint(second)
 
-    def test_runs_without_an_lts(self):
-        job = AnalysisJob(system=build_surgery_system(),
-                          user=surgery_patient(),
-                          kind="consent_change")
-        batch = BatchEngine().run([job])
-        assert batch.stats.lts_generations == 0
-        assert batch.results[0].states == 0
+    def test_reads_the_lts_memo_and_reports_no_states(self):
+        """Withdrawing the only agreed service reads one LTS (the
+        "before" side; the empty "after" side reads none): cold, the
+        source generates it; warm (result-cache miss, memo hit), it is
+        reused. Either way the job reports 0 states."""
+        system = build_surgery_system()
+        engine = BatchEngine()
+        cold = engine.run([AnalysisJob(system=system,
+                                       user=surgery_patient(),
+                                       kind="consent_change")])
+        assert (cold.stats.lts_generations, cold.stats.lts_reuses) == \
+            (1, 0)
+        assert cold.results[0].lts_generated
+        warm = engine.run([AnalysisJob(
+            system=system, user=surgery_patient(),
+            kind="consent_change",
+            params={"withdraw": ["MedicalService"]})])
+        assert warm.stats.result_hits == 0
+        assert (warm.stats.lts_generations, warm.stats.lts_reuses) == \
+            (0, 1)
+        assert not warm.results[0].lts_generated
+        for result in (cold.results[0], warm.results[0]):
+            assert (result.states, result.transitions) == (0, 0)
 
 
 class TestReidentifyKind:
@@ -492,6 +508,68 @@ class TestMixedFleets:
         data = report.to_dict()
         assert data["kind_histogram"] == report.kind_histogram()
         assert "analysis kinds:" in report.describe()
+
+
+class TestOneGenerationPerKey:
+    """Every kind reads its LTSs from the engine's memo: a batch of
+    disclosure, consent_change and population jobs over one model and
+    the same users generates each distinct (model fingerprint,
+    options) pair exactly once."""
+
+    def _jobs(self):
+        from repro.casestudies import MEDICAL_SERVICE
+        system = build_surgery_system()
+        users = [UserProfile(f"u{i}", agreed_services=services,
+                             sensitivities={"diagnosis": "high"},
+                             default_sensitivity=0.1 * (i + 1))
+                 for i, services in enumerate((
+                     [MEDICAL_SERVICE],
+                     [MEDICAL_SERVICE, RESEARCH_SERVICE],
+                     [RESEARCH_SERVICE]))]
+        return [AnalysisJob(system=system, user=user, kind=kind,
+                            params={"count": 12, "seed": index}
+                            if kind == "population" else None)
+                for index, user in enumerate(users)
+                for kind in ("disclosure", "consent_change",
+                             "population")]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_each_key_generates_once(self, backend, monkeypatch):
+        import sys
+        from collections import Counter
+        from repro.core import ModelGenerator
+        from repro.engine import model_fingerprint
+        original = ModelGenerator.generate
+        generated = []
+
+        def recording(self, options=None):
+            generated.append((model_fingerprint(self.system),
+                              options.cache_key()))
+            return original(self, options)
+
+        monkeypatch.setattr(ModelGenerator, "generate", recording)
+        jobs = self._jobs()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            batch = BatchEngine(backend=backend, workers=4).run(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert batch.stats.executed == len(jobs)
+        repeated = {key: n for key, n in Counter(generated).items()
+                    if n > 1}
+        assert repeated == {}
+        fp = model_fingerprint(jobs[0].system)
+        declared = {(fp, options.cache_key()) for job in jobs
+                    for options in get_kind(job.kind).lts_options(job)}
+        assert set(generated) == declared
+        assert batch.stats.lts_generations + batch.stats.lts_reuses == \
+            len(jobs)
+        assert sum(r.lts_generated for r in batch.results) == \
+            batch.stats.lts_generations
+        serial = BatchEngine(backend="serial").run(self._jobs())
+        assert [r.signature() for r in batch.results] == \
+            [r.signature() for r in serial.results]
 
 
 class TestResolveOptions:

@@ -188,9 +188,10 @@ class TestSharedLtsMemo:
         analyse = kind_class.analyse
         seen = []
 
-        def recording(self, job, lts, config):
-            seen.append(lts)
-            return analyse(self, job, lts, config)
+        def recording(self, job, source, config):
+            outcome = analyse(self, job, source, config)
+            seen.append(outcome.lts)
+            return outcome
 
         monkeypatch.setattr(kind_class, "analyse", recording)
         system = build_surgery_system()

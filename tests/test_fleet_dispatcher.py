@@ -572,6 +572,21 @@ class TestRemoteQueueBackend:
             single_node_signatures(tmp_path)
         assert backend.last_outcome is not None
 
+    def test_lts_counts_match_a_single_node(self, fleet, tmp_path):
+        """Each worker's per-job memo reuse reaches the coordinator's
+        stats, so a fleet-backed engine counts what one node counts."""
+        _, transport = fleet
+        kinds = ("disclosure", "consent_change", "population")
+        backend = RemoteQueueBackend(make_dispatcher(transport))
+        engine = BatchEngine(backend=backend,
+                             cache_dir=str(tmp_path / "coord"))
+        stats = engine.run(make_jobs(kinds=kinds)).stats
+        single = BatchEngine().run(make_jobs(kinds=kinds)).stats
+        assert (stats.lts_generations, stats.lts_reuses) == \
+            (single.lts_generations, single.lts_reuses) == (8, 4)
+        assert stats.lts_reuses == \
+            backend.last_outcome.stats.engine.lts_reuses
+
     def test_second_run_is_all_coordinator_cache_hits(self, fleet,
                                                       tmp_path):
         _, transport = fleet

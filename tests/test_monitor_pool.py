@@ -59,7 +59,7 @@ class TestMonitorPool:
         pool = MonitorPool(surgery_system)
         pool.register(surgery_patient("p1"))
         pool.register(surgery_patient("p2"))
-        assert len(pool._lts_cache) == 1
+        assert len(pool._lts_source) == 1
         assert pool.monitor_for("p1").lts is pool.monitor_for("p2").lts
 
     def test_pooled_lts_raises_on_write(self, surgery_system):
@@ -86,7 +86,7 @@ class TestMonitorPool:
                               acceptable_risk="high")
         pool.register(relaxed)
         # one generation serves both; the risk tables stay per-sigma
-        assert len(pool._lts_cache) == 1
+        assert len(pool._lts_source) == 1
         assert pool.monitor_for("p1").lts is pool.monitor_for("p2").lts
         assert pool.monitor_for("p1").risks is not \
             pool.monitor_for("p2").risks

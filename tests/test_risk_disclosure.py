@@ -291,7 +291,9 @@ class TestAnalysisLeavesLtsUnchanged:
         original = ModelGenerator.generate
 
         def recording(self, options=None):
-            lts = original(self, options)
+            # LTS sources hand out frozen LTSs: freezing here is
+            # idempotent and pickles the LTS the analysis reads.
+            lts = original(self, options).freeze()
             generated.append((lts, pickle.dumps(lts)))
             return lts
 

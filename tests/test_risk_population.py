@@ -75,7 +75,7 @@ class TestPopulationAnalysis:
         users = _users(surgery_system)
         analyzer.analyse(users)
         # two distinct consent sets among analysed users
-        assert len(analyzer._lts_cache) == 2
+        assert len(analyzer._lts_source) == 2
 
     def test_empty_population(self, surgery_system):
         report = analyse_population(surgery_system, [])

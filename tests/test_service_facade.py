@@ -257,6 +257,34 @@ class TestFingerprintOnce:
             reference.outcome.signatures()
 
 
+class TestStreamFingerprints:
+    def test_stream_hashes_each_model_once(self, monkeypatch):
+        """A streamed sweep runs one job at a time, yet hashes each of
+        its models once, not once per job."""
+        from repro.engine import fingerprint
+        calls = []
+        real = fingerprint.canonical_system_dict
+
+        def counting(system):
+            calls.append(system.name)
+            return real(system)
+
+        service = AnalysisService(backend="serial")
+        try:
+            request = SweepRequest(seed=4, count=3, personas=3,
+                                   kinds=("disclosure", "population"))
+            jobs = [job for _, job in service._sweep_jobs(request)]
+            monkeypatch.setattr(fingerprint, "canonical_system_dict",
+                                counting)
+            lines = list(service.sweep_stream(request))
+        finally:
+            service.close()
+        assert len(lines) == len(jobs) + 1 and "summary" in lines[-1]
+        distinct = {id(job.system): job.system.name for job in jobs}
+        assert len(jobs) > len(distinct)
+        assert sorted(calls) == sorted(distinct.values())
+
+
 class TestCacheLifecycle:
     def test_cache_stats_never_creates_stores(self, tmp_path):
         target = str(tmp_path / "nowhere")

@@ -466,7 +466,9 @@ class TestEngineScreen:
 class TestTaintKind:
     def test_registered_and_screenable_flags(self):
         taint = get_kind("taint")
-        assert not taint.uses_lts
+        job = AnalysisJob(system=build_surgery_system(),
+                          user=surgery_patient(), kind="taint")
+        assert taint.lts_options(job) == ()
         assert not taint.screenable
         assert get_kind("disclosure").screenable
         assert not get_kind("pseudonym").screenable
