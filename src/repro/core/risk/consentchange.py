@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Tuple
 
 from ...dfd.model import SystemModel
 from ...errors import AnalysisError
-from ..generation import GenerationOptions
 from ..ltssource import LocalLtsSource, LtsSource
 from .disclosure import DisclosureRiskAnalyzer
 from .likelihood import LikelihoodModel
@@ -82,58 +81,6 @@ class ConsentChangeReport:
         return "\n".join(lines)
 
 
-def _sides(system: SystemModel, user, agree: Tuple[str, ...],
-           withdraw: Tuple[str, ...], initial_store_contents):
-    """The change's before and after sides as ``(profile, options)``
-    pairs, without mutating ``user``. ``options`` is the generation
-    the side reads: None for a side with no agreed services, where
-    the paper's analysis is undefined."""
-    if not agree and not withdraw:
-        raise AnalysisError(
-            "a consent change needs at least one service to agree to "
-            "or withdraw from"
-        )
-    for service in (*agree, *withdraw):
-        system.service(service)  # raises on unknown names
-
-    from ...consent import UserProfile
-
-    def side(services):
-        profile = UserProfile(
-            user.name,
-            agreed_services=services,
-            sensitivities=user.sensitivity.as_dict(),
-            default_sensitivity=user.sensitivity.default,
-            acceptable_risk=user.acceptable_risk,
-        )
-        if not services:
-            return profile, None
-        options = DisclosureRiskAnalyzer.default_options(system, profile)
-        if initial_store_contents is not None:
-            options = dataclasses.replace(
-                options,
-                initial_store_contents=dict(initial_store_contents))
-        return profile, options
-
-    before_services = set(user.agreed_services)
-    return (side(before_services),
-            side((before_services | set(agree)) - set(withdraw)))
-
-
-def consent_change_options(system: SystemModel, user,
-                           agree: Iterable[str] = (),
-                           withdraw: Iterable[str] = (),
-                           initial_store_contents=None
-                           ) -> Tuple[GenerationOptions, ...]:
-    """The generations :func:`analyse_consent_change` reads for the
-    same arguments: one per side that has agreed services."""
-    return tuple(
-        options for _, options in _sides(
-            system, user, tuple(agree), tuple(withdraw),
-            initial_store_contents)
-        if options is not None)
-
-
 def analyse_consent_change(system: SystemModel, user,
                            agree: Iterable[str] = (),
                            withdraw: Iterable[str] = (),
@@ -157,19 +104,40 @@ def analyse_consent_change(system: SystemModel, user,
     job reads); without one, a :class:`LocalLtsSource` generates each
     distinct side once.
     """
-    before, after = _sides(system, user, tuple(agree), tuple(withdraw),
-                           initial_store_contents)
+    agree = tuple(agree)
+    withdraw = tuple(withdraw)
+    if not agree and not withdraw:
+        raise AnalysisError(
+            "a consent change needs at least one service to agree to "
+            "or withdraw from"
+        )
+    for service in (*agree, *withdraw):
+        system.service(service)  # raises on unknown names
+
+    before_services = set(user.agreed_services)
+    after_services = (before_services | set(agree)) - set(withdraw)
     source = source if source is not None else LocalLtsSource()
     analyzer = DisclosureRiskAnalyzer(system, likelihood, matrix)
 
-    def report_for(profile, options):
-        if options is None:
+    def report_for(services):
+        if not services:
             return None
+        from ...consent import UserProfile
+        profile = UserProfile(
+            user.name,
+            agreed_services=services,
+            sensitivities=user.sensitivity.as_dict(),
+            default_sensitivity=user.sensitivity.default,
+            acceptable_risk=user.acceptable_risk,
+        )
+        options = DisclosureRiskAnalyzer.default_options(system, profile)
+        if initial_store_contents is not None:
+            options = dataclasses.replace(
+                options,
+                initial_store_contents=dict(initial_store_contents))
         return analyzer.analyse(profile,
                                 lts=source.lts_for(system, options))
 
-    before_services = set(before[0].agreed_services)
-    after_services = set(after[0].agreed_services)
     allowed_before = system.allowed_actors(before_services) \
         if before_services else set()
     allowed_after = system.allowed_actors(after_services) \
@@ -183,6 +151,6 @@ def analyse_consent_change(system: SystemModel, user,
             allowed_after - allowed_before)),
         newly_non_allowed_actors=tuple(sorted(
             allowed_before - allowed_after)),
-        before=report_for(*before),
-        after=report_for(*after),
+        before=report_for(before_services),
+        after=report_for(after_services),
     )

@@ -56,7 +56,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..._util import ascii_table
 from ...dfd.model import SystemModel
 from ..actions import ActionType
-from ..generation import GenerationOptions
 from ..ltssource import LocalLtsSource, LtsSource
 from .disclosure import DisclosureRiskAnalyzer
 from .likelihood import LikelihoodModel
@@ -182,20 +181,6 @@ class PopulationReport:
             f"skipped={len(self.skipped)}, "
             f"unacceptable={self.unacceptable_fraction:.0%})"
         )
-
-
-def consent_group_options(system: SystemModel, users: Sequence
-                          ) -> Tuple[GenerationOptions, ...]:
-    """The generations a population analysis reads: one per distinct
-    agreed-service tuple among ``users``, in first-seen order (users
-    with no agreed service are skipped and read none)."""
-    options: Dict[Tuple[str, ...], GenerationOptions] = {}
-    for user in users:
-        agreed = tuple(user.agreed_services)
-        if agreed and agreed not in options:
-            options[agreed] = DisclosureRiskAnalyzer.default_options(
-                system, user)
-    return tuple(options.values())
 
 
 def _population_scores(system: SystemModel,

@@ -99,7 +99,6 @@ from .runner import (
     backend_names,
     get_backend,
     register_backend,
-    resolve_options,
 )
 
 
@@ -165,7 +164,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "EngineStats",
-    "resolve_options",
     "ModelScenario",
     "ScenarioGenerator",
     "scenario_jobs",

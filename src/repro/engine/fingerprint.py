@@ -117,8 +117,8 @@ def lts_stage_key(model_fp: str,
     """The stage-2 key: model stage x generation options.
 
     This is the memoisation key of a generated LTS; jobs that share it
-    share the (pickled) LTS regardless of kind, user or analyzer
-    configuration.
+    share the one frozen LTS the memo holds, regardless of kind, user
+    or analyzer configuration.
     """
     return stable_hash(["lts", CACHE_FORMAT, model_fp,
                         options.cache_key() if options else None])

@@ -31,17 +31,16 @@ strictly fewer jobs than a cold sweep either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..dfd import SystemModel, canonical_system_dict
 from ..dfd.diff import ModelDiff, diff_models
-from ..errors import ReproError
 from ..taint import TaintCertificate
 from .fingerprint import (lts_stage_key, model_fingerprint, stable_hash,
                           taint_stage_key)
 from .jobs import AnalysisJob
 from .kinds import get_kind
-from .runner import BatchEngine, BatchResult, resolve_options
+from .runner import BatchEngine, BatchResult
 
 #: Stage-invalidation verdicts, least to most expensive.
 INVALIDATES_NOTHING = "nothing"
@@ -171,6 +170,40 @@ def certificate_survives(plan: InvalidationPlan,
     return certificate.survives_acl_change(plan.diff)
 
 
+class LtsReseed:
+    """An edit's plan, applied by the engine run's LTS sources.
+
+    The first read of a key on the edited model whose LTS the edit
+    leaves intact puts the pre-edit entry under the new key; the read
+    then hits it. Sources call :meth:`seed` under the key's lock, so
+    each key is tried once even across thread workers.
+    """
+
+    __slots__ = ("plan", "tried")
+
+    def __init__(self, plan: InvalidationPlan):
+        self.plan = plan
+        #: New stage-2 key -> whether its pre-edit LTS was in the memo.
+        self.tried: Dict[str, bool] = {}
+
+    @property
+    def seeded(self) -> int:
+        """The number of keys seeded so far."""
+        return sum(self.tried.values())
+
+    def seed(self, cache, model_fp: str, key: str, options) -> None:
+        """Seed ``key`` (``model_fp`` under ``options``) in ``cache``
+        if this is its first read and the edit leaves it intact."""
+        plan = self.plan
+        if model_fp != plan.after_fp or key in self.tried or \
+                plan.level_for(options) != INVALIDATES_ANALYZERS:
+            return
+        lts = cache.get(lts_stage_key(plan.before_fp, options))
+        if lts is not None:
+            cache.put(key, lts)
+        self.tried[key] = lts is not None
+
+
 def reanalysis_summary(plan_description: str, jobs: int,
                        retargeted: int, lts_seeded: int,
                        stats_description: str) -> str:
@@ -223,15 +256,14 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
     referencing ``before`` — by content, not object identity — are
     retargeted to ``after``; jobs over other models pass through and
     short-circuit at the warm result cache). When the change provably
-    leaves generated LTSs intact, their cache entries are re-seeded
-    under the new stage-2 keys before execution, so the re-run skips
-    LTS generation as well as every unchanged job.
+    leaves generated LTSs intact, the re-run skips LTS generation as
+    well as every unchanged job.
 
     The engine should be the one that ran the original batch (or share
     its ``cache_dir``); with a cold engine this degrades gracefully to
-    a plain run. Every LTS key a retargeted job reads
-    (:meth:`~repro.engine.kinds.AnalysisKind.lts_options`: a consent
-    change's two sides, a population's consent groups) is re-seeded.
+    a plain run. Each LTS an executed job on the edited model reads is
+    re-seeded at its first read, from the pre-edit entry in the
+    engine's memo (:class:`LtsReseed`).
     Results carry the *new* model's fingerprints — they
     are byte-identical to what a cold run over the edited fleet
     produces. ``screen``/``lint`` pass through to
@@ -251,11 +283,9 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
     plan = classify_invalidation(before, after, model_fps)
     model_fps[id(before)] = plan.before_fp
     model_fps[id(after)] = plan.after_fp
-    seeded_keys = set()
     taint_keys = set()
     new_jobs: List[AnalysisJob] = []
     retargeted = 0
-    lts_seeded = 0
     taint_seeded = 0
     for job in jobs:
         fp = model_fps.get(id(job.system))
@@ -269,8 +299,8 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
         # Labels (and params) survive; only the model moves.
         new_job = replace(job, system=after)
         new_jobs.append(new_job)
-        options = resolve_options(new_job)
         kind = get_kind(new_job.kind)
+        options = kind.options_of(new_job)
         if (kind.screenable or new_job.kind == "taint") and \
                 plan.level != INVALIDATES_NOTHING:
             # The taint stage is more precise than the LTS stage: an
@@ -287,27 +317,11 @@ def reanalyze(engine: BatchEngine, before: SystemModel,
                         new_taint_key,
                         certificate.rebind(plan.after_fp))
                     taint_seeded += 1
-        if not plan.reuses_lts:
-            continue
-        try:
-            declared = kind.lts_options(new_job)
-        except ReproError:
-            continue    # the run reports the job's error
-        for lts_options in declared:
-            if plan.level_for(lts_options) != INVALIDATES_ANALYZERS:
-                continue
-            new_key = lts_stage_key(plan.after_fp, lts_options)
-            if new_key in seeded_keys:
-                continue
-            seeded_keys.add(new_key)
-            lts = engine.lts_cache.get(
-                lts_stage_key(plan.before_fp, lts_options))
-            if lts is not None:
-                engine.lts_cache.put(new_key, lts)
-                lts_seeded += 1
+    reseed = LtsReseed(plan) if plan.reuses_lts else None
     batch = engine.run(new_jobs, screen=screen, lint=lint,
-                       model_fps=model_fps)
+                       model_fps=model_fps, reseed=reseed)
     return ReanalysisOutcome(
         batch=batch, plan=plan, jobs=len(new_jobs),
-        retargeted=retargeted, lts_seeded=lts_seeded,
+        retargeted=retargeted,
+        lts_seeded=reseed.seeded if reseed is not None else 0,
         taint_seeded=taint_seeded)

@@ -8,7 +8,6 @@ re-identification exposure (V). Each of those is an
 - its **analyzer-stage cache key** (which parts of the engine
   configuration its outcome depends on),
 - its **default generation options** (what LTS it wants, if any),
-- the **LTS option sets** it reads (:meth:`AnalysisKind.lts_options`),
 - how to **analyse** one job into a flat, picklable outcome, reading
   every LTS from the :class:`~repro.core.ltssource.LtsSource` it is
   handed, and
@@ -25,7 +24,6 @@ valid.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import (Any, ClassVar, Dict, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -42,10 +40,8 @@ from ..core.risk import (
     RiskMatrix,
     analyse_consent_change,
 )
-from ..core.risk.consentchange import consent_change_options
 from ..core.risk.population import (PopulationAnalyzer,
-                                    VectorizedPopulationAnalyzer,
-                                    consent_group_options)
+                                    VectorizedPopulationAnalyzer)
 from ..core.risk.pseudonym import default_policy_for
 from ..core.risk.scores import ScoreWeights
 from ..core.risk.valuerisk import ValueRiskPolicy
@@ -172,14 +168,6 @@ class AnalysisKind:
         return job.options if job.options is not None \
             else self.default_options(job)
 
-    def lts_options(self, job: AnalysisJob
-                    ) -> Tuple[GenerationOptions, ...]:
-        """Every generation ``analyse`` reads from its source for
-        ``job`` — the LTS keys :func:`repro.engine.incremental
-        .reanalyze` re-seeds when an edit leaves LTSs intact. Default:
-        the job's own generation."""
-        return (self.options_of(job),)
-
     def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         """Run the analysis, reading each LTS it needs from
@@ -275,17 +263,13 @@ class TaintKind(AnalysisKind):
         return DisclosureRiskAnalyzer.default_options(job.system,
                                                       job.user)
 
-    def lts_options(self, job: AnalysisJob
-                    ) -> Tuple[GenerationOptions, ...]:
-        return ()
-
     def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
+        # Reads no LTS; the engine's source carries the model's hash.
         from ..taint import certificate_from_report, compute_taint
-        from .fingerprint import model_fingerprint
         report = compute_taint(job.system, self.options_of(job))
         certificate = certificate_from_report(
-            report, job.system, model_fingerprint(job.system))
+            report, job.system, source.model_fp)
         non_allowed = tuple(sorted(
             job.user.non_allowed_actors(job.system)))
         clean = certificate.clean_for(non_allowed)
@@ -475,12 +459,6 @@ class ConsentChangeKind(AnalysisKind):
             withdraw = (job.user.agreed_services[0],)
         return agree, withdraw
 
-    def lts_options(self, job: AnalysisJob
-                    ) -> Tuple[GenerationOptions, ...]:
-        agree, withdraw = self.change_of(job)
-        return consent_change_options(job.system, job.user,
-                                      agree=agree, withdraw=withdraw)
-
     def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         agree, withdraw = self.change_of(job)
@@ -598,7 +576,7 @@ class PopulationKind(AnalysisKind):
     everyone like me".
 
     Each consent group's LTS comes from the engine's LTS source (one
-    per group, :meth:`lts_options`), so a group whose LTS a disclosure
+    per distinct agreed-service set), so a group whose LTS a disclosure
     job or an earlier population job already generated costs a memo
     hit; the job reports 0 states and transitions. Outcome
     ``max_level`` is the worst user's maximum risk; the details carry
@@ -671,20 +649,6 @@ class PopulationKind(AnalysisKind):
         params = job.params or {}
         return ScoreWeights.from_params(params.get("weights"))
 
-    #: Populations :meth:`lts_options` simulated, by ``id(job)``, for
-    #: that job's :meth:`analyse` to take over: ``reanalyze`` declares
-    #: a job's keys, then runs it, and a large population must not be
-    #: simulated twice. An entry lives no longer than its job.
-    _declared: ClassVar[Dict[int, list]] = {}
-
-    def lts_options(self, job: AnalysisJob
-                    ) -> Tuple[GenerationOptions, ...]:
-        users = self.population_of(job)
-        if id(job) not in self._declared:
-            weakref.finalize(job, self._declared.pop, id(job), None)
-        self._declared[id(job)] = users
-        return consent_group_options(job.system, users)
-
     def analyse(self, job: AnalysisJob, source: LtsSource,
                 config: AnalyzerConfig) -> KindOutcome:
         weights = self.weights_of(job)
@@ -699,9 +663,7 @@ class PopulationKind(AnalysisKind):
         analyzer = analyzer_cls(
             job.system, config.likelihood, config.matrix,
             weights=weights, records=config.population, source=source)
-        users = self._declared.pop(id(job), None)
-        report = analyzer.analyse(
-            users if users is not None else self.population_of(job))
+        report = analyzer.analyse(self.population_of(job))
         worst = max((o.max_level for o in report.outcomes),
                     default=RiskLevel.NONE)
         histogram = tuple(

@@ -128,14 +128,6 @@ class BatchResult:
         return self.results[index]
 
 
-def resolve_options(job: AnalysisJob) -> Optional[GenerationOptions]:
-    """The effective generation options of a job: an alias of
-    ``get_kind(job.kind).options_of(job)``
-    (:meth:`~repro.engine.kinds.AnalysisKind.options_of`), kept as the
-    engine's exported name for it."""
-    return get_kind(job.kind).options_of(job)
-
-
 class _MemoLtsSource(LtsSource):
     """One job's view of an LTS memo, counting what it served.
 
@@ -143,21 +135,30 @@ class _MemoLtsSource(LtsSource):
     job on a key (and every thread worker) analyses the same object.
     ``locks`` (striped by key) make a miss generate once even when
     thread workers race for the same key; a process worker runs one
-    job at a time and passes none.
+    job at a time and passes none. ``reseed`` is the re-analysis run's
+    :class:`~repro.engine.incremental.LtsReseed`, applied before each
+    read.
     """
 
-    __slots__ = ("_cache", "_locks", "_system", "_model_fp",
+    __slots__ = ("_cache", "_locks", "_system", "_model_fp", "_reseed",
                  "_generator", "generated", "reused")
 
     def __init__(self, cache, system, model_fp: str,
-                 locks: Optional[Sequence[threading.Lock]] = None):
+                 locks: Optional[Sequence[threading.Lock]] = None,
+                 reseed=None):
         self._cache = cache
         self._locks = locks
         self._system = system
         self._model_fp = model_fp
+        self._reseed = reseed
         self._generator: Optional[ModelGenerator] = None
         self.generated = 0
         self.reused = 0
+
+    @property
+    def model_fp(self) -> str:
+        """The stage-1 fingerprint of the job's model."""
+        return self._model_fp
 
     def lts_for(self, system, options):
         if system is not self._system:
@@ -170,6 +171,8 @@ class _MemoLtsSource(LtsSource):
             return self._recall(key, options)
 
     def _recall(self, key: str, options):
+        if self._reseed is not None:
+            self._reseed.seed(self._cache, self._model_fp, key, options)
         lts = self._cache.get(key)
         if lts is not None:
             self.reused += 1
@@ -185,15 +188,16 @@ class _MemoLtsSource(LtsSource):
 def _run_analysis(job: AnalysisJob, fingerprint: str,
                   options: Optional[GenerationOptions],
                   config: AnalyzerConfig, lts_cache, model_fp: str,
-                  locks: Optional[Sequence[threading.Lock]] = None
-                  ) -> JobResult:
+                  locks: Optional[Sequence[threading.Lock]] = None,
+                  reseed=None) -> JobResult:
     """Run the job's kind on a memo-backed LTS source, flatten."""
     start = time.perf_counter()
     if job.options is None and options is not None:
         # The kind reads its resolved generation from the job instead
         # of deriving the default again.
         job = replace(job, options=options)
-    source = _MemoLtsSource(lts_cache, job.system, model_fp, locks)
+    source = _MemoLtsSource(lts_cache, job.system, model_fp, locks,
+                            reseed)
     outcome = get_kind(job.kind).analyse(job, source, config)
     lts = outcome.lts
     return JobResult(
@@ -283,11 +287,11 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def execute(self, prepared, engine):
+    def execute(self, prepared, engine, reseed=None):
         for fingerprint, job, options, model_fp in prepared:
             yield fingerprint, _run_analysis(
                 job, fingerprint, options, engine.config,
-                engine.lts_cache, model_fp, engine._lts_locks)
+                engine.lts_cache, model_fp, engine._lts_locks, reseed)
 
 
 class ThreadBackend(Backend):
@@ -296,12 +300,12 @@ class ThreadBackend(Backend):
 
     name = "thread"
 
-    def execute(self, prepared, engine):
+    def execute(self, prepared, engine, reseed=None):
         with futures.ThreadPoolExecutor(engine.workers) as pool:
             tasks = [
                 pool.submit(_run_analysis, job, fingerprint, options,
                             engine.config, engine.lts_cache, model_fp,
-                            engine._lts_locks)
+                            engine._lts_locks, reseed)
                 for fingerprint, job, options, model_fp in prepared
             ]
             for (fingerprint, *_), task in zip(prepared, tasks):
@@ -458,7 +462,7 @@ class BatchEngine:
         """The result-cache key of ``job`` under this engine's
         analyzer configuration."""
         if options is None:
-            options = resolve_options(job)
+            options = get_kind(job.kind).options_of(job)
         fingerprint = self._fingerprint(job, model_fp, options)
         if __debug__:
             # The labels contract: scenario/family/variant/job_id are
@@ -491,7 +495,7 @@ class BatchEngine:
         if model_fp is None:
             model_fp = model_fingerprint(job.system)
         if options is None:
-            options = resolve_options(job)
+            options = get_kind(job.kind).options_of(job)
         key = taint_stage_key(model_fp, options)
         certificate = self.taint_cache.get(key)
         if not isinstance(certificate, TaintCertificate):
@@ -626,8 +630,8 @@ class BatchEngine:
     def run(self, jobs: Sequence[AnalysisJob],
             screen: bool = False,
             lint: Union[bool, str] = False,
-            model_fps: Optional[Mapping[int, str]] = None
-            ) -> BatchResult:
+            model_fps: Optional[Mapping[int, str]] = None,
+            *, reseed=None) -> BatchResult:
         """Execute ``jobs``; results come back in submission order.
 
         With ``screen=True``, screenable kinds (disclosure) first
@@ -657,6 +661,12 @@ class BatchEngine:
         warm single-job request. Seeded entries must describe systems
         that have not been mutated since hashing; unknown ids are
         simply hashed as usual.
+
+        ``reseed`` is internal: :func:`~repro.engine.incremental
+        .reanalyze` passes its edit's
+        :class:`~repro.engine.incremental.LtsReseed` here, and the
+        backends that share :attr:`lts_cache` hand it to each job's
+        LTS source.
         """
         jobs = list(jobs)
         started = time.perf_counter()
@@ -684,7 +694,7 @@ class BatchEngine:
             if model_fp is None:
                 model_fp = model_fingerprint(job.system)
                 model_fps[id(job.system)] = model_fp
-            options = resolve_options(job)
+            options = get_kind(job.kind).options_of(job)
             fingerprint = self.fingerprint(job, model_fp=model_fp,
                                            options=options)
             cached = self.result_cache.get(fingerprint)
@@ -729,7 +739,7 @@ class BatchEngine:
             pending[fingerprint] = [index]
             prepared.append((fingerprint, job, options, model_fp))
 
-        for fingerprint, result in self._execute(prepared):
+        for fingerprint, result in self._execute(prepared, reseed):
             self.result_cache.put(fingerprint, result)
             stats.executed += 1
             if result.lts_generated:
@@ -744,12 +754,17 @@ class BatchEngine:
         stats.wall_time = time.perf_counter() - started
         return BatchResult([r for r in results if r is not None], stats)
 
-    def _execute(self, prepared):
-        """Yield (fingerprint, JobResult) for each prepared miss."""
-        if len(prepared) <= 1 and self._backend_impl.inline_single \
-                and not isinstance(self._backend_impl, SerialBackend):
+    def _execute(self, prepared, reseed):
+        """(fingerprint, JobResult) for each prepared miss, in order."""
+        backend = self._backend_impl
+        if len(prepared) <= 1 and backend.inline_single \
+                and not isinstance(backend, SerialBackend):
             # Zero or one miss: pool setup would cost more than it
             # buys — run in line.
-            yield from SerialBackend().execute(prepared, self)
-        else:
-            yield from self._backend_impl.execute(prepared, self)
+            backend = SerialBackend()
+        if reseed is not None and \
+                isinstance(backend, (SerialBackend, ThreadBackend)):
+            # Only these read engine.lts_cache, which holds the
+            # pre-edit LTSs; process and fleet workers keep their own.
+            return backend.execute(prepared, self, reseed)
+        return backend.execute(prepared, self)

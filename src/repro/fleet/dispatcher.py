@@ -55,7 +55,6 @@ from ..engine import (
     job_fingerprint,
     kind_names,
     model_fingerprint,
-    resolve_options,
     scenario_jobs,
     stable_hash,
 )
@@ -687,7 +686,7 @@ class FleetDispatcher:
             if model_fp is None:
                 model_fp = model_fingerprint(job.system)
                 model_fps[id(job.system)] = model_fp
-            options = resolve_options(job)
+            options = get_kind(job.kind).options_of(job)
             cert_key = (model_fp, options.cache_key()
                         if options is not None else None)
             certificate = certificates.get(cert_key)

@@ -19,8 +19,8 @@ from repro.engine import (
     BatchEngine,
     certificate_survives,
     classify_invalidation,
+    get_kind,
     reanalyze,
-    resolve_options,
     taint_stage_key,
 )
 from repro.taint import TaintCertificate, build_certificate
@@ -166,7 +166,7 @@ class TestReanalyze:
         engine = BatchEngine()
         jobs = self._fleet(before)
         engine.run(jobs)
-        options = resolve_options(jobs[0])
+        options = get_kind(jobs[0].kind).options_of(jobs[0])
         seeded = engine.lts_cache.get(
             lts_stage_key(model_fingerprint(before), options))
         assert seeded is not None and seeded.frozen
@@ -246,8 +246,9 @@ class TestReanalyze:
         engine.run(jobs)
         outcome = reanalyze(engine, before, _create_grant_edit(), jobs)
         assert outcome.retargeted == 3
-        # Both LTS-consuming kinds re-seeded (distinct options =>
-        # distinct stage-2 keys); consent_change never touches the memo.
+        # Two distinct stage-2 keys re-seeded: disclosure's and
+        # pseudonym's. consent_change's one side reads disclosure's key,
+        # already seeded.
         assert outcome.lts_seeded == 2
         assert outcome.batch.stats.lts_generations == 0
         assert [r.kind for r in outcome.batch.results] == \
@@ -255,26 +256,28 @@ class TestReanalyze:
 
     def test_source_kinds_reseed_every_declared_key(self, monkeypatch):
         """consent_change and population read several LTSs each; an
-        analyzers-only edit re-seeds all of them, so the re-run
-        generates nothing and matches a cold engine on the edit."""
+        analyzers-only edit re-seeds every key the first run generated,
+        so the re-run generates nothing and matches a cold engine on
+        the edit."""
         from repro.core import ModelGenerator
-        from repro.engine import get_kind
         before = build_surgery_system()
         jobs = [AnalysisJob(system=before, user=surgery_patient(),
                             kind=kind,
                             params={"count": 16, "seed": 3}
                             if kind == "population" else None)
                 for kind in ("consent_change", "population")]
-        engine = BatchEngine()
-        engine.run(jobs)
         generated = []
         original = ModelGenerator.generate
 
         def recording(self, options=None):
-            generated.append(options)
+            generated.append(options.cache_key())
             return original(self, options)
 
         monkeypatch.setattr(ModelGenerator, "generate", recording)
+        engine = BatchEngine()
+        engine.run(jobs)
+        warm_keys = set(generated)
+        generated.clear()
         after = _create_grant_edit()
         outcome = reanalyze(engine, before, after, jobs)
         assert outcome.plan.level == INVALIDATES_ANALYZERS
@@ -282,9 +285,54 @@ class TestReanalyze:
         assert outcome.batch.stats.executed == len(jobs)
         assert outcome.batch.stats.lts_generations == 0
         assert outcome.batch.stats.lts_reuses == len(jobs)
-        declared = {options.cache_key() for job in jobs
-                    for options in get_kind(job.kind).lts_options(job)}
-        assert outcome.lts_seeded == len(declared) > 2
+        assert outcome.lts_seeded == len(warm_keys) > 2
+        monkeypatch.undo()
+        cold = BatchEngine().run(
+            [AnalysisJob(system=after, user=job.user, kind=job.kind,
+                         params=job.params) for job in jobs])
+        assert [r.signature() for r in outcome.batch.results] == \
+            [r.signature() for r in cold.results]
+
+    def test_thread_workers_reseed_each_key_once(self, monkeypatch):
+        """Thread workers racing for one key seed it once: the re-run
+        on a thread engine generates nothing, puts each warm key under
+        its new key once, and matches a cold serial engine on the
+        edit."""
+        import sys
+        from repro.core import ModelGenerator
+        before = build_surgery_system()
+        jobs = [AnalysisJob(system=before, user=surgery_patient(f"p{i}"),
+                            kind=kind,
+                            params={"count": 12, "seed": i}
+                            if kind == "population" else None)
+                for i in range(3)
+                for kind in ("disclosure", "consent_change",
+                             "population")]
+        generated = []
+        original = ModelGenerator.generate
+
+        def recording(self, options=None):
+            generated.append(options.cache_key())
+            return original(self, options)
+
+        monkeypatch.setattr(ModelGenerator, "generate", recording)
+        engine = BatchEngine(backend="thread", workers=4)
+        engine.run(jobs)
+        warm_keys = set(generated)
+        generated.clear()
+        after = _create_grant_edit()
+        puts = engine.lts_cache.stats.puts
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcome = reanalyze(engine, before, after, jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert generated == []
+        assert outcome.batch.stats.executed == len(jobs)
+        assert outcome.lts_seeded == len(warm_keys)
+        # Later reads of a seeded key hit it; they never seed again.
+        assert engine.lts_cache.stats.puts - puts == outcome.lts_seeded
         monkeypatch.undo()
         cold = BatchEngine().run(
             [AnalysisJob(system=after, user=job.user, kind=job.kind,
@@ -293,11 +341,8 @@ class TestReanalyze:
             [r.signature() for r in cold.results]
 
     def test_population_is_simulated_once(self, monkeypatch):
-        """Declaring a population job's keys simulates its users; the
-        run that follows analyses those users instead of drawing them
-        again, and keeps nothing once it has."""
-        import gc
-
+        """Re-analysing a population job draws its users once: in the
+        run, where the job's consent groups re-seed at first read."""
         from repro.engine import kinds
         before = build_surgery_system()
         job = AnalysisJob(system=before, user=surgery_patient(),
@@ -313,19 +358,44 @@ class TestReanalyze:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(kinds, "simulate_users", counting)
-        pending = set(kinds.PopulationKind._declared)
         outcome = reanalyze(engine, before, _create_grant_edit(), [job])
         assert outcome.lts_seeded >= 1
+        assert outcome.batch.stats.lts_generations == 0
         assert len(draws) == 1
-        assert set(kinds.PopulationKind._declared) <= pending
-        declared = AnalysisJob(system=before, user=surgery_patient(),
-                               kind="population", params=job.params)
-        kinds.get_kind("population").lts_options(declared)
-        assert id(declared) in kinds.PopulationKind._declared
-        key = id(declared)
-        del declared
-        gc.collect()
-        assert key not in kinds.PopulationKind._declared
+
+    def test_process_backend_simulates_nothing_in_the_coordinator(
+            self, monkeypatch):
+        """Process workers keep their own memos, so a re-analysis on a
+        process engine has nothing to re-seed: the coordinator never
+        draws the population, and the answers match a cold run."""
+        from repro.engine import kinds
+        before = build_surgery_system()
+        jobs = [AnalysisJob(system=before, user=surgery_patient(),
+                            kind=kind,
+                            params={"count": 1000, "seed": 5}
+                            if kind == "population" else None)
+                for kind in ("population", "disclosure")]
+        engine = BatchEngine(backend="process", workers=2)
+        engine.run(jobs)
+        draws = []
+        original = kinds.simulate_users
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kinds, "simulate_users", counting)
+        after = _create_grant_edit()
+        outcome = reanalyze(engine, before, after, jobs)
+        assert draws == []
+        assert outcome.retargeted == len(jobs)
+        assert outcome.lts_seeded == 0
+        monkeypatch.undo()
+        cold = BatchEngine(backend="serial").run(
+            [AnalysisJob(system=after, user=job.user, kind=job.kind,
+                         params=job.params) for job in jobs])
+        assert [r.signature() for r in outcome.batch.results] == \
+            [r.signature() for r in cold.results]
 
     def test_describe_summarises_the_run(self):
         before = build_surgery_system()
@@ -427,7 +497,7 @@ class TestReanalyzeTaintSeeding:
         assert outcome.taint_seeded == 1  # one (model, options) pair
         reseeded = engine.taint_cache.get(
             taint_stage_key(outcome.plan.after_fp,
-                            resolve_options(jobs[0])))
+                            get_kind(jobs[0].kind).options_of(jobs[0])))
         assert isinstance(reseeded, TaintCertificate)
         assert reseeded.model_fp == outcome.plan.after_fp
         assert "taint certificates" in outcome.describe()
@@ -446,7 +516,7 @@ class TestReanalyzeTaintSeeding:
         # edited model rather than reusing the stale one.
         fresh = engine.taint_cache.get(
             taint_stage_key(outcome.plan.after_fp,
-                            resolve_options(jobs[0])))
+                            get_kind(jobs[0].kind).options_of(jobs[0])))
         assert isinstance(fresh, TaintCertificate)
         assert fresh.model_fp == outcome.plan.after_fp
 

@@ -30,7 +30,6 @@ from repro.engine import (
     get_kind,
     kind_names,
     register_kind,
-    resolve_options,
 )
 from repro.engine.kinds import AnalysisKind, dataset_key
 
@@ -510,6 +509,23 @@ class TestMixedFleets:
         assert "analysis kinds:" in report.describe()
 
 
+def _keys_read(jobs):
+    """The ``options.cache_key()`` of every LTS the jobs' kinds read,
+    found by running each kind outside the engine."""
+    from repro.core import LocalLtsSource
+    config = AnalyzerConfig.build()
+    keys = set()
+
+    class Recording(LocalLtsSource):
+        def lts_for(self, system, options):
+            keys.add(options.cache_key())
+            return super().lts_for(system, options)
+
+    for job in jobs:
+        get_kind(job.kind).analyse(job, Recording(), config)
+    return keys
+
+
 class TestOneGenerationPerKey:
     """Every kind reads its LTSs from the engine's memo: a batch of
     disclosure, consent_change and population jobs over one model and
@@ -560,9 +576,7 @@ class TestOneGenerationPerKey:
                     if n > 1}
         assert repeated == {}
         fp = model_fingerprint(jobs[0].system)
-        declared = {(fp, options.cache_key()) for job in jobs
-                    for options in get_kind(job.kind).lts_options(job)}
-        assert set(generated) == declared
+        assert set(generated) == {(fp, key) for key in _keys_read(jobs)}
         assert batch.stats.lts_generations + batch.stats.lts_reuses == \
             len(jobs)
         assert sum(r.lts_generated for r in batch.results) == \
@@ -576,7 +590,7 @@ class TestResolveOptions:
     def test_disclosure_default_mirrors_direct_analysis(self):
         job = AnalysisJob(system=build_surgery_system(),
                           user=surgery_patient())
-        options = resolve_options(job)
+        options = get_kind(job.kind).options_of(job)
         assert options == DisclosureRiskAnalyzer.default_options(
             job.system, job.user)
 
@@ -584,7 +598,7 @@ class TestResolveOptions:
         for kind in ("pseudonym", "reidentify"):
             job = AnalysisJob(system=build_research_system(),
                               user=surgery_patient(), kind=kind)
-            options = resolve_options(job)
+            options = get_kind(job.kind).options_of(job)
             assert options.services is None
             assert not options.include_potential_reads
 
@@ -592,7 +606,7 @@ class TestResolveOptions:
         job = AnalysisJob(system=build_surgery_system(),
                           user=surgery_patient(),
                           kind="consent_change")
-        assert resolve_options(job) is None
+        assert get_kind(job.kind).options_of(job) is None
 
 
 class TestLabelLeakGuard:

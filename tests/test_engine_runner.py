@@ -12,7 +12,7 @@ from repro.engine import (
     AnalysisJob,
     BatchEngine,
     LRUCache,
-    resolve_options,
+    get_kind,
 )
 
 
@@ -149,7 +149,7 @@ class TestResolveOptions:
     def test_default_mirrors_disclosure_analysis(self):
         job = AnalysisJob(system=build_surgery_system(),
                           user=_patient())
-        options = resolve_options(job)
+        options = get_kind(job.kind).options_of(job)
         assert options.services == ("MedicalService",)
         assert options.include_potential_reads
         assert options.potential_read_actors == \
@@ -159,7 +159,7 @@ class TestResolveOptions:
         explicit = GenerationOptions(ordering="sequence")
         job = AnalysisJob(system=build_surgery_system(),
                           user=_patient(), options=explicit)
-        assert resolve_options(job) is explicit
+        assert get_kind(job.kind).options_of(job) is explicit
 
 
 class TestSharedLtsMemo:
@@ -183,7 +183,7 @@ class TestSharedLtsMemo:
             **kwargs)
 
     def test_jobs_on_one_key_share_the_memoised_lts(self, monkeypatch):
-        from repro.engine import get_kind, lts_cache_key
+        from repro.engine import lts_cache_key
         kind_class = type(get_kind("disclosure"))
         analyse = kind_class.analyse
         seen = []
@@ -203,7 +203,8 @@ class TestSharedLtsMemo:
         assert batch.stats.lts_reuses == 1
         assert len(seen) == 2 and seen[0] is seen[1]
         assert seen[0].frozen
-        key = lts_cache_key(system, resolve_options(jobs[0]))
+        key = lts_cache_key(system,
+                            get_kind(jobs[0].kind).options_of(jobs[0]))
         assert engine.lts_cache.get(key) is seen[0]
 
     def test_pseudonym_job_counts_its_fork(self):
@@ -217,7 +218,7 @@ class TestSharedLtsMemo:
         system = build_research_system()
         job = AnalysisJob(system=system, user=surgery_patient(),
                           kind="pseudonym")
-        options = resolve_options(job)
+        options = get_kind(job.kind).options_of(job)
         result = engine.run([job]).results[0]
 
         memoised = engine.lts_cache.get(lts_cache_key(system, options))

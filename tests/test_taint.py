@@ -468,10 +468,43 @@ class TestTaintKind:
         taint = get_kind("taint")
         job = AnalysisJob(system=build_surgery_system(),
                           user=surgery_patient(), kind="taint")
-        assert taint.lts_options(job) == ()
+        from repro.core import LtsSource
+        from repro.engine import AnalyzerConfig, model_fingerprint
+
+        class NoLts(LtsSource):
+            model_fp = model_fingerprint(job.system)
+
+            def lts_for(self, system, options):
+                raise AssertionError("the taint kind reads no LTS")
+
+        assert taint.analyse(job, NoLts(), AnalyzerConfig.build()) \
+            .lts is None
         assert not taint.screenable
         assert get_kind("disclosure").screenable
         assert not get_kind("pseudonym").screenable
+
+    def test_taint_jobs_reuse_the_runners_model_hash(self,
+                                                      monkeypatch):
+        """The runner hashes each model once per run, and taint jobs
+        read that hash from their LTS source instead of hashing the
+        model again."""
+        from repro.engine import fingerprint, runner
+        original = fingerprint.model_fingerprint
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return original(system)
+
+        monkeypatch.setattr(fingerprint, "model_fingerprint", counting)
+        monkeypatch.setattr(runner, "model_fingerprint", counting)
+        system = build_surgery_system()
+        jobs = [AnalysisJob(system=system,
+                            user=surgery_patient(f"p{i}"), kind="taint")
+                for i in range(3)]
+        batch = BatchEngine(backend="serial").run(jobs)
+        assert batch.stats.executed == 3
+        assert len(calls) == 1
 
     def test_taint_kind_runs_through_the_engine(self):
         system = build_surgery_system()
