@@ -260,11 +260,16 @@ def _user_spec(args):
     )
 
 
-def _service(args):
-    """The facade every engine subcommand delegates to."""
+def _serve_once(args, operation):
+    """``operation(service)`` on the facade an engine subcommand
+    delegates to, then close it (and any process pool it started)."""
     from .service import AnalysisService
-    return AnalysisService(backend=args.backend, workers=args.workers,
-                           cache_dir=args.cache_dir)
+    service = AnalysisService(backend=args.backend, workers=args.workers,
+                              cache_dir=args.cache_dir)
+    try:
+        return operation(service)
+    finally:
+        service.close()
 
 
 def _parse_score_weights(pairs: List[str]) -> dict:
@@ -366,7 +371,7 @@ def _cmd_engine_run(args) -> int:
         user=_user_spec(args), kind=args.kind,
         params=_kind_params(args),
         strict_lint=args.strict_lint)
-    response = _service(args).analyze(request)
+    response = _serve_once(args, lambda service: service.analyze(request))
     if args.json:
         _print_json(response.to_dict())
     else:
@@ -392,8 +397,8 @@ def _cmd_engine_sweep(args) -> int:
                            kinds=tuple(args.kinds),
                            screen=args.screen,
                            strict_lint=args.strict_lint)
-    response = _service(args).sweep(request,
-                                    include_report=args.json)
+    response = _serve_once(args, lambda service: service.sweep(
+        request, include_report=args.json))
     cache_line = f"result cache: {response.result_cache.describe()}"
     if args.json:
         _write_output(json_module.dumps(response.report, indent=2),
@@ -417,7 +422,8 @@ def _cmd_engine_reanalyze(args) -> int:
         user=_user_spec(args), kind=args.kind,
         params=_kind_params(args),
         strict_lint=args.strict_lint)
-    response = _service(args).reanalyze(request)
+    response = _serve_once(args,
+                           lambda service: service.reanalyze(request))
     if args.json:
         _print_json(response.to_dict())
     else:

@@ -16,7 +16,8 @@ Execution pipeline, per :meth:`BatchEngine.run` call:
    per (model, options) pair, generated once and shared as is by every
    job and thread worker whose stage-2 key agrees, whatever its kind —
    a consent change's two sides and a population's consent groups
-   included. Process workers each keep their own memo.
+   included. Process workers each keep their own memo, for as long as
+   the engine keeps its pool (until :meth:`BatchEngine.close`).
 5. Results return **in submission order**, regardless of backend or
    completion order, and are written back to the result cache.
 
@@ -315,8 +316,8 @@ class ThreadBackend(Backend):
 # -- process backend plumbing ------------------------------------------------
 #
 # Each worker keeps its own LTS memo (live cache objects carry locks and
-# cannot be sent to another process), so it generates a key at most
-# once.
+# cannot be sent to another process). The engine keeps one pool across
+# runs, so a worker generates a key at most once per engine.
 
 _WORKER_LTS_CACHE = None
 
@@ -333,26 +334,34 @@ def _process_worker(payload) -> JobResult:
 
 
 class ProcessBackend(Backend):
-    """A :class:`~concurrent.futures.ProcessPoolExecutor` pool; each
-    worker process keeps its own in-memory LTS memo, and finished
-    results return to the engine's result cache."""
+    """The engine's :class:`~concurrent.futures.ProcessPoolExecutor`
+    pool, started on its first process run and kept until
+    :meth:`BatchEngine.close`; each worker process keeps its own
+    in-memory LTS memo across runs, and finished results return to the
+    engine's result cache."""
 
     name = "process"
 
     def execute(self, prepared, engine):
-        with futures.ProcessPoolExecutor(
-                engine.workers,
-                initializer=_process_initializer,
-                initargs=(engine._memory_entries,),
-        ) as pool:
+        pool = engine._process_pool()
+        tasks = []
+        try:
             tasks = [
                 pool.submit(_process_worker,
-                            (job, fingerprint, options,
-                             engine.config, model_fp))
+                            (job, fingerprint, options, engine.config,
+                             model_fp))
                 for fingerprint, job, options, model_fp in prepared
             ]
             for (fingerprint, *_), task in zip(prepared, tasks):
                 yield fingerprint, task.result()
+        except futures.BrokenExecutor:
+            # A dead worker breaks the pool for good: let the next
+            # run start a fresh one.
+            engine._discard_pool(pool)
+            raise
+        finally:
+            for task in tasks:
+                task.cancel()
 
 
 register_backend("serial", SerialBackend)
@@ -369,6 +378,8 @@ class BatchEngine:
         A registered backend name (``'serial'``, ``'thread'``,
         ``'process'``, plus anything added via
         :func:`register_backend`) or a live :class:`Backend` instance.
+        The process backend keeps one worker pool for the engine's
+        lifetime; :meth:`close` shuts it down.
     workers:
         Pool width for the parallel backends (default: CPU count,
         capped at 8).
@@ -444,6 +455,36 @@ class BatchEngine:
         self.likelihood = self.config.likelihood
         self.matrix = self.config.matrix
         self._kind_keys: Dict[str, tuple] = {}
+        self._pool: Optional[futures.ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Shut down the process pool, if a process run started one,
+        and wait for its workers to exit. Idempotent; a later process
+        run starts a new pool."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _process_pool(self) -> futures.ProcessPoolExecutor:
+        """The engine's process pool, started on first use. Workers
+        start from the process state of that moment."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = futures.ProcessPoolExecutor(
+                    self.workers,
+                    initializer=_process_initializer,
+                    initargs=(self._memory_entries,))
+            return self._pool
+
+    def _discard_pool(self, pool: futures.ProcessPoolExecutor) -> None:
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     # -- identity ----------------------------------------------------------
 

@@ -16,13 +16,19 @@ realistically across the fleet. The whole stream is a pure function of
 ``(seed, personas_per_scenario)``: the same seed reproduces identical
 models, identical users and therefore identical job fingerprints —
 which is what makes fleet runs cacheable end to end.
+
+Within one :meth:`ScenarioGenerator.generate` call, scenarios on the
+same template (same family, variant and drawn sizes) share one
+:class:`~repro.dfd.SystemModel` object: a fleet is built, and hashed by
+the id-keyed fingerprint tables downstream, once per distinct model.
+Copy a scenario's model before editing it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..casestudies import (
     ANALYTICS_SERVICE,
@@ -55,7 +61,11 @@ _PERSONA_CYCLE: Tuple[Persona, ...] = (PRAGMATIST, FUNDAMENTALIST,
 
 @dataclass(frozen=True)
 class ModelScenario:
-    """One generated workload: a model and the users to assess it for."""
+    """One generated workload: a model and the users to assess it for.
+
+    ``system`` may be shared with other scenarios of the same
+    :meth:`ScenarioGenerator.generate` call; copy it before editing.
+    """
 
     name: str
     family: str
@@ -88,7 +98,8 @@ def scenario_jobs(scenarios: Sequence[ModelScenario],
     With several ``kinds``, scenarios cycle through them — the fleet
     mixes analysis lenses across its models rather than multiplying
     every scenario by every kind (pass the same scenario list once per
-    kind for the cross product).
+    kind for the cross product). Jobs reference their scenario's
+    model, which sibling scenarios may share: copy it before editing.
     """
     kinds = tuple(kinds) or ("disclosure",)
     jobs: List[AnalysisJob] = []
@@ -104,6 +115,11 @@ class ScenarioGenerator:
     tightened, loyalty, scaled) and draws per-scenario parameters and
     user populations from a PRNG seeded once — the same ``seed`` always
     yields the same fleet.
+
+    One call builds each distinct template model once: scenarios keyed
+    ``("surgery", tightened)``, ``("loyalty",)`` or ``("scaled",
+    actors, fields, stores, pseudonymise)`` alike share one
+    :class:`~repro.dfd.SystemModel`. Separate calls never share one.
     """
 
     def __init__(self, seed: int = 0, personas_per_scenario: int = 2):
@@ -135,13 +151,25 @@ class ScenarioGenerator:
 
     # -- templates ------------------------------------------------------------
 
-    def _surgery(self, index: int, rng: random.Random,
-                 tightened: bool) -> ModelScenario:
-        system = build_surgery_system()
-        variant = "baseline"
-        if tightened:
-            tighten_administrator_policy(system)
-            variant = "tightened"
+    @staticmethod
+    def _model(models: Dict[tuple, SystemModel], key: tuple,
+               build: Callable[[], SystemModel]) -> SystemModel:
+        """The call's one model for template ``key``; builds draw
+        nothing from the PRNG, so sharing leaves the stream intact."""
+        system = models.get(key)
+        if system is None:
+            system = models[key] = build()
+        return system
+
+    def _surgery(self, index: int, rng: random.Random, tightened: bool,
+                 models: Dict[tuple, SystemModel]) -> ModelScenario:
+        def build() -> SystemModel:
+            system = build_surgery_system()
+            return tighten_administrator_policy(system) if tightened \
+                else system
+
+        system = self._model(models, ("surgery", tightened), build)
+        variant = "tightened" if tightened else "baseline"
         users = self._users(index, system,
                             (MEDICAL_SERVICE, RESEARCH_SERVICE),
                             "EHRSchema", rng)
@@ -150,8 +178,9 @@ class ScenarioGenerator:
             family="surgery", variant=variant,
             system=system, users=users)
 
-    def _loyalty(self, index: int, rng: random.Random) -> ModelScenario:
-        system = build_loyalty_system()
+    def _loyalty(self, index: int, rng: random.Random,
+                 models: Dict[tuple, SystemModel]) -> ModelScenario:
+        system = self._model(models, ("loyalty",), build_loyalty_system)
         users = self._users(
             index, system,
             (CHECKOUT_SERVICE, OFFERS_SERVICE, ANALYTICS_SERVICE),
@@ -161,14 +190,17 @@ class ScenarioGenerator:
             family="loyalty", variant="baseline",
             system=system, users=users)
 
-    def _scaled(self, index: int, rng: random.Random) -> ModelScenario:
+    def _scaled(self, index: int, rng: random.Random,
+                models: Dict[tuple, SystemModel]) -> ModelScenario:
         actors = rng.randint(2, 6)
         fields = rng.randint(3, 8)
         stores = rng.randint(1, 3)
         pseudonymise = rng.random() < 0.5
-        system = build_scaled_system(actors=actors, fields=fields,
-                                     stores=stores,
-                                     pseudonymise=pseudonymise)
+        system = self._model(
+            models, ("scaled", actors, fields, stores, pseudonymise),
+            lambda: build_scaled_system(actors=actors, fields=fields,
+                                        stores=stores,
+                                        pseudonymise=pseudonymise))
         variant = (f"a{actors}-f{fields}-s{stores}"
                    f"{'-anon' if pseudonymise else ''}")
         users = self._users(index, system,
@@ -182,21 +214,24 @@ class ScenarioGenerator:
     # -- the stream ----------------------------------------------------------------
 
     def generate(self, count: int) -> List[ModelScenario]:
-        """The first ``count`` scenarios of this seed's stream."""
+        """The first ``count`` scenarios of this seed's stream.
+
+        Scenarios on the same template share one model object (see the
+        class docstring); a later call builds its own.
+        """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         rng = random.Random(self.seed)
+        models: Dict[tuple, SystemModel] = {}
         scenarios: List[ModelScenario] = []
         for index in range(count):
             kind = index % 4
             if kind == 0:
-                scenarios.append(self._surgery(index, rng,
-                                               tightened=False))
+                scenarios.append(self._surgery(index, rng, False, models))
             elif kind == 1:
-                scenarios.append(self._surgery(index, rng,
-                                               tightened=True))
+                scenarios.append(self._surgery(index, rng, True, models))
             elif kind == 2:
-                scenarios.append(self._loyalty(index, rng))
+                scenarios.append(self._loyalty(index, rng, models))
             else:
-                scenarios.append(self._scaled(index, rng))
+                scenarios.append(self._scaled(index, rng, models))
         return scenarios

@@ -258,6 +258,15 @@ def _by_worker(shards: Sequence[_Shard]) -> Dict[str, List[_Shard]]:
     return groups
 
 
+def _hash_once(model_fps: Dict[int, str], system) -> str:
+    """``system``'s model hash, computed on its first lookup in the
+    dispatch's ``id(system) -> hash`` table."""
+    model_fp = model_fps.get(id(system))
+    if model_fp is None:
+        model_fp = model_fps[id(system)] = model_fingerprint(system)
+    return model_fp
+
+
 def _drain(events: Iterator[Tuple]) -> FleetOutcome:
     """Run a dispatch event iterator to its summary."""
     for kind, *body in events:
@@ -333,8 +342,10 @@ class FleetDispatcher:
         in job order. Every selected index is yielded exactly once.
 
         The scenario fleet is a pure function of the request's seed.
-        The coordinator generates it to lint, screen and place it;
-        each worker then receives one ``SweepRequest`` naming a
+        The coordinator generates it to lint, screen and place it,
+        building and hashing each distinct model content once (the
+        fleet's scenarios share one model object per template). Each
+        worker then receives one ``SweepRequest`` naming a
         representative index per shard, regenerates the same fleet
         and streams back its slice — no model upload. A worker lost
         or dropped mid-stream is handled per exchange, exactly as in
@@ -414,11 +425,15 @@ class FleetDispatcher:
         if lint:
             self._lint([job for _, job in indexed], stats,
                        strict=lint in (True, "strict"))
+        # ``id(system) -> model hash``, shared by screen and placement
+        # so each model object is hashed once per dispatch.
+        model_fps: Dict[int, str] = {}
         screened: Dict[int, JobResult] = \
-            self._screen(indexed, stats) if screen else {}
+            self._screen(indexed, stats, model_fps) if screen else {}
 
         ring = self._probe_workers(reports, stats)
-        shards = self._prepare(indexed, stats, skip=screened.keys())
+        shards = self._prepare(indexed, stats, model_fps,
+                               skip=screened.keys())
         for shard in shards:
             shard.worker = ring.assign(shard.model_fp)
         stats.shards = len(shards)
@@ -659,7 +674,8 @@ class FleetDispatcher:
                     f"lint: {summary}{more}", diagnostics=diagnostics)
 
     def _screen(self, indexed: Sequence[Tuple[int, AnalysisJob]],
-                stats: FleetStats) -> Dict[int, JobResult]:
+                stats: FleetStats, model_fps: Dict[int, str]
+                ) -> Dict[int, JobResult]:
         """Taint pre-screen every screenable job coordinator-side.
 
         Returns synthesized zero-event results by job index for the
@@ -672,7 +688,6 @@ class FleetDispatcher:
         config = AnalyzerConfig.build()
         analyzer_keys: Dict[str, tuple] = {}
         certificates: Dict[tuple, object] = {}
-        model_fps: Dict[int, str] = {}
         for index, job in indexed:
             if not get_kind(job.kind).screenable or \
                     job.options is not None:
@@ -682,10 +697,7 @@ class FleetDispatcher:
                 # exact run; never screen them out.
                 stats.engine.screen_flagged += 1
                 continue
-            model_fp = model_fps.get(id(job.system))
-            if model_fp is None:
-                model_fp = model_fingerprint(job.system)
-                model_fps[id(job.system)] = model_fp
+            model_fp = _hash_once(model_fps, job.system)
             options = get_kind(job.kind).options_of(job)
             cert_key = (model_fp, options.cache_key()
                         if options is not None else None)
@@ -728,7 +740,8 @@ class FleetDispatcher:
         return screened
 
     def _prepare(self, indexed: Sequence[Tuple[int, AnalysisJob]],
-                 stats: FleetStats, skip=()) -> List[_Shard]:
+                 stats: FleetStats, model_fps: Dict[int, str],
+                 skip=()) -> List[_Shard]:
         """Jobs to deduplicated, content-addressed shards.
 
         The shard key is the stable hash of the canonical wire
@@ -736,7 +749,6 @@ class FleetDispatcher:
         and one worker answer.
         """
         shards: Dict[str, _Shard] = {}
-        model_fps: Dict[int, str] = {}
         skip = frozenset(skip)
         for index, job in indexed:
             if index in skip:
@@ -746,10 +758,7 @@ class FleetDispatcher:
                     f"job {job.job_id!r} carries explicit generation "
                     "options, which the wire contract does not ship; "
                     "dispatch it locally or drop the override")
-            model_fp = model_fps.get(id(job.system))
-            if model_fp is None:
-                model_fp = model_fingerprint(job.system)
-                model_fps[id(job.system)] = model_fp
+            model_fp = _hash_once(model_fps, job.system)
             request = AnalysisRequest(
                 models=(ModelRef(hash=model_fp),),
                 user=UserSpec.from_profile(job.user),

@@ -201,15 +201,19 @@ class AnalysisService:
             return self._engine
 
     def close(self) -> None:
-        """Stop accepting async work and release the worker pool.
+        """Stop accepting async work and release the worker pool and
+        the engine's process pool (:meth:`BatchEngine.close`).
 
         Synchronous operations keep working; further :meth:`submit`
         calls raise. Idempotent."""
         with self._lock:
             self._closed = True
             executor, self._executor = self._executor, None
+            engine = self._engine
         if executor is not None:
             executor.shutdown(wait=True)
+        if engine is not None:
+            engine.close()
 
     # -- the model store ---------------------------------------------------
 

@@ -376,7 +376,6 @@ class TestReanalyze:
                             if kind == "population" else None)
                 for kind in ("population", "disclosure")]
         engine = BatchEngine(backend="process", workers=2)
-        engine.run(jobs)
         draws = []
         original = kinds.simulate_users
 
@@ -384,9 +383,13 @@ class TestReanalyze:
             draws.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(kinds, "simulate_users", counting)
         after = _create_grant_edit()
-        outcome = reanalyze(engine, before, after, jobs)
+        try:
+            engine.run(jobs)
+            monkeypatch.setattr(kinds, "simulate_users", counting)
+            outcome = reanalyze(engine, before, after, jobs)
+        finally:
+            engine.close()
         assert draws == []
         assert outcome.retargeted == len(jobs)
         assert outcome.lts_seeded == 0

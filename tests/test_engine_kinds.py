@@ -481,8 +481,11 @@ class TestMixedFleets:
     def test_parallel_mixed_batch_matches_serial(self, backend,
                                                  workers):
         serial = BatchEngine(backend="serial").run(self._jobs())
-        parallel = BatchEngine(backend=backend,
-                               workers=workers).run(self._jobs())
+        engine = BatchEngine(backend=backend, workers=workers)
+        try:
+            parallel = engine.run(self._jobs())
+        finally:
+            engine.close()
         assert [r.signature() for r in serial.results] == \
             [r.signature() for r in parallel.results]
 

@@ -1,6 +1,11 @@
 """The batch engine: backends, caching, dedup, ordering."""
 
+import multiprocessing
+import os
+import signal
 import sys
+import time
+from concurrent import futures
 
 import pytest
 
@@ -57,8 +62,11 @@ class TestExecution:
     ])
     def test_parallel_matches_serial(self, backend, workers):
         serial = BatchEngine(backend="serial").run(_jobs(6))
-        parallel = BatchEngine(backend=backend,
-                               workers=workers).run(_jobs(6))
+        engine = BatchEngine(backend=backend, workers=workers)
+        try:
+            parallel = engine.run(_jobs(6))
+        finally:
+            engine.close()
         assert [r.signature() for r in serial.results] == \
             [r.signature() for r in parallel.results]
 
@@ -79,6 +87,76 @@ class TestExecution:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             BatchEngine(backend="thread", workers=0)
+
+
+class TestProcessPool:
+    """A process engine keeps one pool, and so its workers' LTS memos,
+    across runs until ``close()``."""
+
+    @staticmethod
+    def _children():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    @staticmethod
+    def _round(number, system):
+        # New users every round: result-cache misses on one LTS key.
+        return [AnalysisJob(system=system,
+                            user=_patient(f"r{number}-p{index}"))
+                for index in range(4)]
+
+    def test_memo_survives_successive_runs(self):
+        before = self._children()
+        system = build_surgery_system()
+        engine = BatchEngine(backend="process", workers=2)
+        try:
+            batches = [engine.run(self._round(number, system))
+                       for number in range(3)]
+            assert self._children() - before
+        finally:
+            engine.close()
+        assert all(batch.stats.executed == 4 for batch in batches)
+        assert sum(batch.stats.lts_generations
+                   for batch in batches) <= 2
+        assert batches[-1].stats.lts_reuses == 4
+        serial = BatchEngine(backend="serial")
+        assert [[r.signature() for r in batch] for batch in batches] == \
+            [[r.signature() for r in serial.run(
+                self._round(number, system))] for number in range(3)]
+        assert not self._children() - before
+
+    def test_a_dead_worker_costs_one_run_not_the_engine(self):
+        before = self._children()
+        system = build_surgery_system()
+        engine = BatchEngine(backend="process", workers=2)
+        try:
+            engine.run(self._round(0, system))
+            victim = min(self._children() - before)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while victim in self._children() and \
+                    time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert victim not in self._children()
+            time.sleep(0.1)
+            with pytest.raises(futures.BrokenExecutor):
+                engine.run(self._round(1, system))
+            batch = engine.run(self._round(2, system))
+        finally:
+            engine.close()
+        assert batch.stats.executed == 4
+        assert not self._children() - before
+
+    def test_close_is_idempotent_and_a_later_run_restarts(self):
+        before = self._children()
+        engine = BatchEngine(backend="process", workers=2)
+        engine.close()
+        try:
+            batch = engine.run(self._round(0, build_surgery_system()))
+            assert batch.stats.executed == 4
+        finally:
+            engine.close()
+            engine.close()
+        assert not self._children() - before
 
 
 class TestResultCaching:

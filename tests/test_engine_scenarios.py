@@ -1,9 +1,16 @@
 """Scenario generation determinism and fleet aggregation."""
 
 import json
+import re
 
 import pytest
 
+from repro.casestudies import (
+    build_loyalty_system,
+    build_scaled_system,
+    build_surgery_system,
+    tighten_administrator_policy,
+)
 from repro.engine import (
     BatchEngine,
     FleetReport,
@@ -69,6 +76,57 @@ class TestScenarioGenerator:
             ScenarioGenerator(personas_per_scenario=0)
         with pytest.raises(ValueError):
             ScenarioGenerator().generate(-1)
+
+
+def _fresh_template(scenario):
+    """A new build of the scenario's family/variant template."""
+    if scenario.family == "surgery":
+        system = build_surgery_system()
+        return tighten_administrator_policy(system) \
+            if scenario.variant == "tightened" else system
+    if scenario.family == "loyalty":
+        return build_loyalty_system()
+    actors, fields, stores = map(int, re.match(
+        r"a(\d+)-f(\d+)-s(\d+)", scenario.variant).groups())
+    return build_scaled_system(
+        actors=actors, fields=fields, stores=stores,
+        pseudonymise=scenario.variant.endswith("-anon"))
+
+
+class TestSharedModels:
+    """One ``generate()`` call builds each distinct model once."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 41])
+    def test_objects_are_shared_exactly_when_contents_agree(self, seed):
+        scenarios = ScenarioGenerator(seed=seed).generate(30)
+        fps = [model_fingerprint(s.system) for s in scenarios]
+        for i, first in enumerate(scenarios):
+            for j, second in enumerate(scenarios):
+                assert (first.system is second.system) == \
+                    (fps[i] == fps[j]), (first.name, second.name)
+        assert len({id(s.system) for s in scenarios}) == len(set(fps)) \
+            < len(scenarios)
+
+    @pytest.mark.parametrize("seed", [0, 5, 41])
+    def test_each_model_is_its_template(self, seed):
+        for scenario in ScenarioGenerator(seed=seed).generate(30):
+            assert model_fingerprint(scenario.system) == \
+                model_fingerprint(_fresh_template(scenario)), \
+                scenario.name
+
+    def test_separate_calls_share_no_object(self):
+        generator = ScenarioGenerator(seed=7)
+        first, second = generator.generate(20), generator.generate(20)
+        assert not {id(s.system) for s in first} & \
+            {id(s.system) for s in second}
+        # Editing one call's model leaves a later call's fleet intact.
+        edited = second[1].system
+        baseline = model_fingerprint(edited)
+        edited.policy.allow("Administrator", "read", "EHR")
+        assert model_fingerprint(edited) != baseline
+        fresh = generator.generate(20)
+        assert model_fingerprint(fresh[1].system) == baseline
+        assert fresh[1].system is not edited
 
 
 class TestFleetReport:

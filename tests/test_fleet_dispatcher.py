@@ -10,6 +10,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import (
     AnalysisJob,
     BatchEngine,
     ScenarioGenerator,
+    kind_names,
     model_fingerprint,
     scenario_jobs,
 )
@@ -508,7 +510,6 @@ class TestSweepStream:
             single_node_signatures(tmp_path)
 
     def test_indices_screen_only_the_selection(self, fleet):
-        from repro.engine import kind_names
         _, transport = fleet
         request = SweepRequest(count=10, personas=2,
                                kinds=tuple(kind_names()), screen=True,
@@ -557,6 +558,80 @@ class TestSweepStream:
         assert next(events)[0] == "result"
         events.close()
         assert wait_for_readers(dispatcher.timeout) == []
+
+
+class TestHashOnce:
+    """A screened sweep hashes each distinct model content once on the
+    coordinator and once across the workers, because a fleet's
+    scenarios share one model object per template."""
+
+    REQUEST = SweepRequest(count=30, seed=11, personas=2, screen=True,
+                           kinds=tuple(kind_names()))
+
+    @staticmethod
+    def _count(monkeypatch, module, counts, side):
+        original = module.model_fingerprint
+        lock = threading.Lock()
+
+        def counting(system):
+            with lock:
+                counts[side] += 1
+            return original(system)
+
+        monkeypatch.setattr(module, "model_fingerprint", counting)
+
+    def test_each_content_is_hashed_once_per_side(self, monkeypatch):
+        from repro.engine import runner
+        from repro.fleet import dispatcher
+        from repro.service import facade
+        distinct = len({model_fingerprint(job.system) for job in
+                        make_jobs(count=30, seed=11)})
+        services = {name: AnalysisService(backend="serial")
+                    for name in ("alpha", "beta")}
+        counts = {"coordinator": 0, "workers": 0}
+        self._count(monkeypatch, dispatcher, counts, "coordinator")
+        self._count(monkeypatch, facade, counts, "workers")
+        self._count(monkeypatch, runner, counts, "workers")
+        try:
+            outcome = make_dispatcher(
+                LoopbackTransport(services),
+                workers=("alpha", "beta")).sweep(self.REQUEST)
+        finally:
+            for service in services.values():
+                service.close()
+        assert len(outcome.results) == 60
+        assert outcome.stats.engine.screened > 0
+        assert 0 < counts["coordinator"] <= distinct
+        assert 0 < counts["workers"] <= distinct
+
+    def test_shared_models_race_free_on_threads(self, monkeypatch):
+        # Eight thread workers on ~10 shared models: concurrent first
+        # reads of the lazy ACL index and role closures. Building a
+        # model validates it, which compiles its ACL index on the
+        # calling thread, so drop both memos to make the workers race
+        # for them (unscreened: no certificate builds them first).
+        request = replace(self.REQUEST, screen=False)
+        serial = AnalysisService(backend="serial").sweep(request)
+        original = ScenarioGenerator.generate
+
+        def cold(generator, count):
+            scenarios = original(generator, count)
+            for scenario in scenarios:
+                scenario.system.policy.acl._index = None
+                scenario.system.policy.rbac._held = {}
+            return scenarios
+
+        monkeypatch.setattr(ScenarioGenerator, "generate", cold)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threaded = AnalysisService(backend="thread", workers=8)
+        try:
+            response = threaded.sweep(request)
+        finally:
+            sys.setswitchinterval(interval)
+            threaded.close()
+        assert [r.signature() for r in response.results] == \
+            [r.signature() for r in serial.results]
 
 
 class TestRemoteQueueBackend:

@@ -1,5 +1,6 @@
 """The AnalysisService facade: one object behind every entrypoint."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -313,6 +314,20 @@ class TestCacheLifecycle:
     def test_prune_without_cache_dir_is_an_error(self):
         with pytest.raises(RequestError, match="cache_dir"):
             AnalysisService().prune_cache(max_bytes=0)
+
+    def test_close_stops_the_engine_process_pool(self):
+        before = {child.pid for child in
+                  multiprocessing.active_children()}
+        service = AnalysisService(backend="process", workers=2)
+        try:
+            response = service.sweep(SweepRequest(count=4, personas=2))
+            assert response.stats.executed == 8
+            assert {child.pid for child in
+                    multiprocessing.active_children()} - before
+        finally:
+            service.close()
+        assert not {child.pid for child in
+                    multiprocessing.active_children()} - before
 
 
 class TestAsyncJobs:
