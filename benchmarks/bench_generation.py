@@ -13,7 +13,12 @@ The quick mode is the CI smoke: the width-12 interleaving workload
 must run at >= 3x the recorded baseline, and a mixed-kind fleet over
 the surgery case study must reproduce the golden
 ``JobResult.signature()`` digests byte-for-byte (the speedup must not
-move a single observable result). Emits ``BENCH_generation.json``.
+move a single observable result). It also records, ungated, the
+end-to-end ``edit-reanalyze`` workload's model sizes
+(``build_scaled_system(9, 11, 3)`` and ``(10, 12, 3)``): best-of-N
+generate ms under ``GenerationOptions()`` and under the disclosure
+options of an Intake+Processing user, and best-of-N disclosure-analysis
+ms on a freshly generated LTS. Emits ``BENCH_generation.json``.
 
 Run under pytest-benchmark for timings, or standalone::
 
@@ -36,11 +41,17 @@ import time
 import pytest
 
 from repro.casestudies import (
+    INTAKE_SERVICE,
+    PROCESSING_SERVICE,
     build_interleaving_system,
     build_pipeline_system,
+    build_scaled_system,
     build_surgery_system,
 )
+from repro.casestudies.synthetic import scaled_field_names
+from repro.consent import UserProfile
 from repro.core import GenerationOptions, ModelGenerator
+from repro.core.risk import DisclosureRiskAnalyzer
 
 BENCH_JSON = "BENCH_generation.json"
 BASELINE_JSON = os.path.join(os.path.dirname(__file__),
@@ -86,6 +97,57 @@ def measure(system, options, repeats: int = 3):
         lts = _cold_generate(system, options)
         best = min(best, time.perf_counter() - started)
     return len(lts) / max(best, 1e-9), lts
+
+
+#: The e2e edit chain's model sizes: ``build_scaled_system(a, f, 3)``.
+EDIT_CHAIN_SIZES = ((9, 11), (10, 12))
+
+
+def _designer(fields: int) -> UserProfile:
+    """A fixed user of the edit chain's consent set (Intake and
+    Processing) with three sensitive fields."""
+    names = scaled_field_names(fields)
+    return UserProfile("designer",
+                       agreed_services=(INTAKE_SERVICE, PROCESSING_SERVICE),
+                       sensitivities={names[1]: "high", names[2]: "medium",
+                                      names[3]: "low"},
+                       default_sensitivity=0.2)
+
+
+def _best_ms(body, repeats: int, prepare=lambda: None) -> float:
+    """Best-of-``repeats`` wall time of ``body(prepare())``; the
+    preparation runs outside the clock."""
+    best = float("inf")
+    for _ in range(repeats):
+        prepared = prepare()
+        started = time.perf_counter()
+        body(prepared)
+        best = min(best, time.perf_counter() - started)
+    return round(best * 1e3, 3)
+
+
+def edit_chain_rows(repeats: int = 15) -> dict:
+    """name -> timings for the edit chain's sizes (see module doc)."""
+    rows = {}
+    for actors, fields in EDIT_CHAIN_SIZES:
+        system = build_scaled_system(actors, fields, 3)
+        user = _designer(fields)
+        disclosure = DisclosureRiskAnalyzer.default_options(system, user)
+        analyzer = DisclosureRiskAnalyzer(system)
+        row = {}
+        for name, options in (("default", GenerationOptions()),
+                              ("disclosure", disclosure)):
+            lts = _cold_generate(system, options)
+            row[name] = {
+                "states": len(lts), "transitions": lts.transition_count,
+                "generate_ms": _best_ms(
+                    lambda _, o=options: _cold_generate(system, o),
+                    repeats)}
+        row["disclosure"]["analysis_ms"] = _best_ms(
+            lambda lts: analyzer.analyse(user, lts=lts), repeats,
+            prepare=lambda: _cold_generate(system, disclosure).freeze())
+        rows[f"a{actors}-f{fields}-s3"] = row
+    return rows
 
 
 def _measure_all(repeats: int) -> dict:
@@ -158,6 +220,12 @@ def _quick_smoke() -> int:
         print(f"{name}: {entry['states_per_sec']:.0f} states/sec "
               f"(baseline {base['states_per_sec']:.0f}, "
               f"{speedup:.2f}x)")
+    record["edit_chain"] = edit_chain_rows()
+    for name, row in record["edit_chain"].items():
+        print(f"{name}: generate {row['default']['generate_ms']:.2f} ms "
+              f"(default), {row['disclosure']['generate_ms']:.2f} ms "
+              f"(disclosure options); disclosure analysis "
+              f"{row['disclosure']['analysis_ms']:.2f} ms")
     key_speedup = record["speedups"].get("interleaving-w12", 0.0)
     if key_speedup < TARGET_SPEEDUP:
         failures.append(

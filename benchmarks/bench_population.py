@@ -15,7 +15,8 @@ Two bars, both enforced in ``--quick`` (the CI smoke):
 - **identity** — the vectorized report must match the looped oracle on
   every observable surface (outcomes, histogram, hot spots, fraction);
 - **speed** — the vectorized pass must beat the loop by at least
-  ``BENCH_POPULATION_TARGET``x (default 10) at the CI population size.
+  ``BENCH_POPULATION_TARGET``x (default 10) at the CI population size,
+  comparing the best of three cold runs of each.
 
 Timing for a 100k-user sweep is recorded informationally (the loop is
 too slow to run at that size in CI). Run under pytest for the
@@ -153,10 +154,21 @@ def test_remediation_effect_population_wide(benchmark):
 
 # -- CI smoke -----------------------------------------------------------------
 
-def _timed(analyse, users):
-    started = time.perf_counter()
-    report = analyse(users)
-    return time.perf_counter() - started, report
+#: Timed runs of each compared pass; the speed bar compares the best
+#: of each, so one slow run on a noisy host does not decide it.
+REPEATS = 3
+
+
+def _timed(analyzer, users, repeats: int = 1):
+    """Best-of-``repeats`` seconds of ``analyzer().analyse(users)``,
+    each run on a fresh (cold) analyzer, and the last report."""
+    best = float("inf")
+    for _ in range(repeats):
+        analyse = analyzer().analyse
+        started = time.perf_counter()
+        report = analyse(users)
+        best = min(best, time.perf_counter() - started)
+    return best, report
 
 
 def _quick_smoke() -> int:
@@ -166,15 +178,15 @@ def _quick_smoke() -> int:
 
     system, users = _population(COMPARED_COUNT)
     looped_seconds, looped = _timed(
-        PopulationAnalyzer(system).analyse, users)
+        lambda: PopulationAnalyzer(system), users, REPEATS)
     vector_seconds, vectorized = _timed(
-        VectorizedPopulationAnalyzer(system).analyse, users)
+        lambda: VectorizedPopulationAnalyzer(system), users, REPEATS)
     speedup = looped_seconds / max(vector_seconds, 1e-9)
 
     print(f"looped:     {COMPARED_COUNT} users in "
-          f"{looped_seconds:.2f}s")
+          f"{looped_seconds:.2f}s (best of {REPEATS})")
     print(f"vectorized: {COMPARED_COUNT} users in "
-          f"{vector_seconds:.2f}s ({speedup:.1f}x)")
+          f"{vector_seconds:.2f}s (best of {REPEATS}, {speedup:.1f}x)")
 
     if not _reports_match(looped, vectorized):
         failures.append(
@@ -186,7 +198,7 @@ def _quick_smoke() -> int:
 
     big_system, big_users = _population(THROUGHPUT_COUNT)
     big_seconds, big_report = _timed(
-        VectorizedPopulationAnalyzer(big_system).analyse, big_users)
+        lambda: VectorizedPopulationAnalyzer(big_system), big_users)
     throughput = THROUGHPUT_COUNT / max(big_seconds, 1e-9)
     print(f"vectorized: {THROUGHPUT_COUNT} users in "
           f"{big_seconds:.2f}s ({throughput:,.0f} users/s)")
@@ -197,6 +209,7 @@ def _quick_smoke() -> int:
     record = {
         "compared_users": COMPARED_COUNT,
         "target_speedup": TARGET_SPEEDUP,
+        "repeats": REPEATS,
         "looped": {"seconds": round(looped_seconds, 4)},
         "vectorized": {"seconds": round(vector_seconds, 4),
                        "speedup": round(speedup, 2)},

@@ -36,17 +36,17 @@ has/could variable, ``(actor, field)`` holding, ``(store, field)``
 content and flow key into a fixed bit position, and every per-flow
 effect is precomputed at compile time as OR/AND-NOT masks. Applying a
 flow is a single ``|``; readiness is one masked compare; state dedup
-is an int-keyed dictionary probe. :class:`Configuration` wraps the
-packed integer and decodes the frozenset views (``holdings``,
-``contents``, ``fired``) lazily for analyzers, reports and tests — the
-observable LTS (states, vectors, transitions, ordering) is identical
-to the historical frozenset implementation.
+is an int-keyed dictionary probe. Generation only appends ints to
+the LTS columns (packed keys, privacy masks, transition sources,
+targets and label indices; see :mod:`repro.core.lts`), and
+:class:`Configuration` decodes a packed key's frozenset views
+(``holdings``, ``contents``, ``fired``) when a state view is read —
+the observable LTS (states, vectors, transitions, ordering) is
+identical to the historical frozenset implementation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -54,9 +54,11 @@ from ..dfd.model import Flow, NodeKind, SystemModel, USER
 from ..errors import GenerationError, ModelError, StateLimitExceeded
 from ..schema import anon_name
 from .actions import ActionType, TransitionLabel
-from .lts import LTS, TransitionKind
-from .statevars import PrivacyVector, VariableRegistry
+from .lts import (  # Configuration* re-exported: generation's key types
+    LTS, Configuration, ConfigurationInfo, TransitionKind)
+from .statevars import VariableRegistry
 
+_FLOW = TransitionKind.FLOW
 Holding = Tuple[str, str]           # (actor, field)
 StoredField = Tuple[str, str]       # (store, field)
 FlowKey = Tuple[str, int]           # (service, order)
@@ -83,18 +85,16 @@ class StateCodec:
     __slots__ = ("registry", "var_mask", "hold_off", "cont_off",
                  "cont_mask", "fired_off", "content_pairs",
                  "content_bit", "sorted_stores", "flow_keys",
-                 "flow_bit", "holding_bit")
+                 "flow_bit", "holding_bit", "never_bit")
 
     def __init__(self, system: SystemModel, registry: VariableRegistry):
         self.registry = registry
         var_bits = len(registry)
         self.var_mask = (1 << var_bits) - 1
         self.hold_off = var_bits
-        self.holding_bit: Dict[Holding, int] = {}
-        for actor in registry.actors:
-            for field_name in registry.fields:
-                self.holding_bit[(actor, field_name)] = 1 << (
-                    var_bits + registry.pair_index(actor, field_name))
+        self.holding_bit: Dict[Holding, int] = {
+            pair: 1 << (var_bits + index)
+            for index, pair in enumerate(registry.pairs)}
         self.cont_off = var_bits + registry.pair_count
 
         # Content universe: per store, its schema fields plus whatever
@@ -133,6 +133,9 @@ class StateCodec:
             self.flow_bit[flow.key] = 1 << (
                 self.fired_off + len(self.flow_keys))
             self.flow_keys.append(flow.key)
+        # Above every segment, so no state sets it: the need of a flow
+        # that can never be ready.
+        self.never_bit = 1 << (self.fired_off + len(self.flow_keys))
 
     # -- decoding ----------------------------------------------------------
 
@@ -155,96 +158,6 @@ class StateCodec:
 
     def decode_fired(self, packed: int) -> FrozenSet[FlowKey]:
         return self._decode(packed >> self.fired_off, 0, self.flow_keys)
-
-
-class Configuration:
-    """The hashable generation state: one packed integer plus the
-    codec that gives its bits meaning.
-
-    Equality and hashing are single-int operations (the generation
-    dedup hot path); ``holdings``/``contents``/``fired`` decode the
-    historical frozenset views on demand.
-    """
-
-    __slots__ = ("packed", "codec")
-
-    def __init__(self, codec: StateCodec, packed: int = 0):
-        self.packed = packed
-        self.codec = codec
-
-    # -- segment views -----------------------------------------------------
-
-    @property
-    def has_mask(self) -> int:
-        """Bits of the registry's state variables (has positions)."""
-        return self.packed & self.codec.var_mask
-
-    @property
-    def holdings(self) -> FrozenSet[Holding]:
-        return self.codec.decode_holdings(self.packed)
-
-    @property
-    def contents(self) -> FrozenSet[StoredField]:
-        return self.codec.decode_contents(self.packed)
-
-    @property
-    def fired(self) -> FrozenSet[FlowKey]:
-        return self.codec.decode_fired(self.packed)
-
-    # -- derivation --------------------------------------------------------
-
-    def with_has_bits(self, mask: int) -> "Configuration":
-        """A configuration with extra registry (has) bits set —
-        holdings/contents/fired untouched. Used by analyses that
-        inject hypothetical identification states (Fig. 4)."""
-        return Configuration(self.codec,
-                             self.packed | (mask & self.codec.var_mask))
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.packed == other.packed
-
-    def __hash__(self) -> int:
-        return hash(self.packed)
-
-    def __repr__(self) -> str:
-        return (
-            f"Configuration(holdings={sorted(self.holdings)}, "
-            f"contents={sorted(self.contents)}, "
-            f"fired={sorted(self.fired)})"
-        )
-
-
-class ConfigurationInfo(MappingABC):
-    """Lazy ``State.info`` view over a configuration.
-
-    Looks like the dict the generator used to build eagerly
-    (``holdings``/``contents``/``fired`` frozensets) but decodes each
-    entry from the packed state only when actually read.
-    """
-
-    __slots__ = ("configuration",)
-    _KEYS = ("holdings", "contents", "fired")
-
-    def __init__(self, configuration: Configuration):
-        self.configuration = configuration
-
-    def __getitem__(self, key):
-        if key not in self._KEYS:
-            raise KeyError(key)
-        return getattr(self.configuration, key)
-
-    def __iter__(self):
-        return iter(self._KEYS)
-
-    def __len__(self) -> int:
-        return len(self._KEYS)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -325,18 +238,17 @@ class _FlowRecord:
     """One flow compiled against the codec.
 
     ``need`` is the readiness mask (holdings or contents bits the
-    source must have), ``effect`` the OR-delta of applying the flow
-    (has + holdings + contents + fired bits in one integer), ``label``
-    the — entirely state-independent — transition label. ``error``
-    carries a deferred endpoint problem, raised exactly where the
-    frozenset implementation used to raise it: ``on_ready_check``
-    whenever the unfired flow is even *considered*, otherwise only
-    once the flow is ready to fire. ``never_ready`` marks flows whose
-    required contents can never exist (a read of a field no store
-    holds)."""
+    source must have; the codec's ``never_bit`` when the contents can
+    never exist, as for a read of a field no store holds), ``effect``
+    the OR-delta of applying the flow (has + holdings + contents +
+    fired bits in one integer), ``label`` the — entirely
+    state-independent — transition label. ``error`` carries a deferred
+    endpoint problem, raised exactly where the frozenset
+    implementation used to raise it: once the flow is ready to fire,
+    which for an unknown source (an empty need) is whenever the
+    unfired flow is even *considered*."""
 
-    __slots__ = ("flow", "fired_bit", "need", "effect",
-                 "label", "error", "on_ready_check", "never_ready")
+    __slots__ = ("flow", "fired_bit", "need", "effect", "label", "error")
 
     def __init__(self, flow: Flow):
         self.flow = flow
@@ -345,8 +257,6 @@ class _FlowRecord:
         self.effect = 0
         self.label: Optional[TransitionLabel] = None
         self.error: Optional[Exception] = None
-        self.on_ready_check = False
-        self.never_ready = False
 
 
 class ModelGenerator:
@@ -369,8 +279,7 @@ class ModelGenerator:
         self._could_by_cbit: Optional[List[int]] = None
         self._flow_plans: Dict[Optional[Tuple[str, ...]], tuple] = {}
         self._actor_tables: Dict[str, tuple] = {}
-        self._read_labels: Dict[Tuple[str, int], tuple] = {}
-        self._delete_labels: Dict[Tuple[str, int], tuple] = {}
+        self._policy_labels: Dict[Tuple[int, str, int], tuple] = {}
 
     # -- public entry point --------------------------------------------------
 
@@ -378,6 +287,7 @@ class ModelGenerator:
         options = options if options is not None else GenerationOptions()
         records, by_service = self._compiled_flows(options)
         sequence = options.ordering == "sequence"
+        groups = by_service if sequence else (records,)
         potential_actors = deletion_actors = ()
         if options.include_potential_reads:
             potential_actors = self._restricted_actors(
@@ -387,59 +297,45 @@ class ModelGenerator:
                 options.delete_actors)
 
         max_states = options.max_states
-        lts = LTS(self.registry)
-        add_state = lts.add_state
-        add_transition = lts.add_transition
-
+        var_mask = self.codec.var_mask
+        could_mask = self._could_mask
+        # The LTS columns: state keys (packed configurations) and
+        # privacy masks by sid; transition sources, targets and label
+        # indices by tid, over a (label, kind) table interned by label
+        # identity (labels are built once per generator).
         initial = self._initial_packed(options)
-        initial_sid, _ = add_state(*self._materialize(initial))
-        lts.set_initial(initial_sid)
-        seen: Dict[int, int] = {initial: initial_sid}
+        keys = [initial]
+        masks = [(initial & var_mask) | could_mask(initial)]
+        seen: Dict[int, int] = {initial: 0}
+        sources, targets, label_indices, labels = [], [], [], []
+        label_ids: Dict[int, int] = {}
 
-        queue = deque([initial_sid])
-        packed_of: List[int] = [initial]
-        while queue:
-            sid = queue.popleft()
-            packed = packed_of[sid]
-            if sequence:
-                enabled = self._sequence_enabled(packed, by_service)
-            else:
-                enabled = self._dataflow_enabled(packed, records)
-            for record in enabled:
-                successor = packed | record.effect
+        # Breadth-first: states are expanded in discovery (sid) order.
+        sid = 0
+        while sid < len(keys):
+            packed = keys[sid]
+            successors = self._enabled(packed, groups, sequence)
+            successors.extend(self._policy_successors(
+                packed, potential_actors, deletion_actors))
+            for label, kind, successor in successors:
                 target_sid = seen.get(successor)
                 if target_sid is None:
-                    target_sid, _ = add_state(
-                        *self._materialize(successor))
-                    seen[successor] = target_sid
-                    packed_of.append(successor)
-                    if len(lts) > max_states:
+                    target_sid = seen[successor] = len(keys)
+                    keys.append(successor)
+                    masks.append((successor & var_mask)
+                                 | could_mask(successor))
+                    if len(keys) > max_states:
                         raise StateLimitExceeded(max_states)
-                    queue.append(target_sid)
-                add_transition(sid, target_sid, record.label,
-                               TransitionKind.FLOW)
-            for label, kind, successor in self._policy_successors(
-                    packed, potential_actors, deletion_actors):
-                target_sid = seen.get(successor)
-                if target_sid is None:
-                    target_sid, _ = add_state(
-                        *self._materialize(successor))
-                    seen[successor] = target_sid
-                    packed_of.append(successor)
-                    if len(lts) > max_states:
-                        raise StateLimitExceeded(max_states)
-                    queue.append(target_sid)
-                add_transition(sid, target_sid, label, kind)
-        return lts
-
-    def _materialize(self, packed: int):
-        """(key, vector, info) of a packed state — built once per
-        *distinct* state; duplicates never reach this."""
-        configuration = Configuration(self.codec, packed)
-        vector = PrivacyVector(
-            self.registry,
-            (packed & self.codec.var_mask) | self._could_mask(packed))
-        return configuration, vector, ConfigurationInfo(configuration)
+                index = label_ids.get(id(label))
+                if index is None:
+                    index = label_ids[id(label)] = len(labels)
+                    labels.append((label, kind))
+                sources.append(sid)
+                targets.append(target_sid)
+                label_indices.append(index)
+            sid += 1
+        return LTS._generated(self.registry, self.codec, keys, masks, seen,
+                              sources, targets, label_indices, labels)
 
     # -- setup ------------------------------------------------------------------
 
@@ -472,28 +368,21 @@ class ModelGenerator:
         name — so a service selected twice contributes its flows (and,
         in sequence mode, its next-order emission) twice, exactly as
         the historical flat flow list did."""
-        key = options.services
-        plan = self._flow_plans.get(key)
+        plan = self._flow_plans.get(options.services)
         if plan is None:
-            if options.services is None:
-                names = tuple(self.system.services)
-            else:
-                names = options.services
-            groups: List[Tuple[_FlowRecord, ...]] = []
-            records: List[_FlowRecord] = []
-            for name in names:
-                group = tuple(self._compile_flow(flow)
-                              for flow in self.system.service(name).flows)
-                records.extend(group)
-                if group:
-                    groups.append(group)
+            names = options.services if options.services is not None \
+                else tuple(self.system.services)
+            groups = [tuple(self._compile_flow(flow)
+                            for flow in self.system.service(name).flows)
+                      for name in names]
+            records = tuple(record for group in groups for record in group)
             if not records:
                 raise GenerationError(
                     "no flows selected for generation; check the "
                     f"services option (selected: {list(names)})"
                 )
-            plan = (tuple(records), tuple(groups))
-            self._flow_plans[key] = plan
+            plan = self._flow_plans[options.services] = (
+                records, tuple(group for group in groups if group))
         return plan
 
     def _compile_flow(self, flow: Flow) -> _FlowRecord:
@@ -503,7 +392,6 @@ class ModelGenerator:
             source_kind = self.system.node_kind(flow.source)
         except ModelError as error:
             record.error = error
-            record.on_ready_check = True
             return record
         self._compile_need(record, source_kind)
         try:
@@ -525,12 +413,8 @@ class ModelGenerator:
                         (flow.source, field_name)]
         elif source_kind is NodeKind.DATASTORE:
             for field_name in flow.fields:
-                bit = self.codec.content_bit.get(
-                    (flow.source, field_name))
-                if bit is None:
-                    record.never_ready = True
-                    return
-                record.need |= bit
+                record.need |= self.codec.content_bit.get(
+                    (flow.source, field_name), self.codec.never_bit)
 
     def _actor_gain(self, actor: str, field_name: str) -> int:
         """The has+holdings delta of ``actor`` receiving ``field``."""
@@ -549,153 +433,104 @@ class ModelGenerator:
                 gain |= self._actor_gain(actor, field_name)
         return gain
 
+    #: (source kind, target kind) -> (action, acting end) of a flow;
+    #: ``None`` action: ``anon`` or ``create`` by the store.
+    _FLOW_RULES = {
+        (NodeKind.USER, NodeKind.ACTOR): (ActionType.COLLECT, "target"),
+        (NodeKind.ACTOR, NodeKind.ACTOR): (ActionType.DISCLOSE, "source"),
+        # Returning data to the subject does not change their privacy,
+        # but sending originated fields materialises them.
+        (NodeKind.ACTOR, NodeKind.USER): (ActionType.DISCLOSE, "source"),
+        (NodeKind.ACTOR, NodeKind.DATASTORE): (None, "source"),
+        (NodeKind.DATASTORE, NodeKind.ACTOR): (ActionType.READ, "target"),
+    }
+
     def _compile_effect(self, record: _FlowRecord,
                         source_kind: NodeKind,
                         target_kind: NodeKind) -> None:
         flow = record.flow
-        effect = record.fired_bit
-        if source_kind is NodeKind.USER and \
-                target_kind is NodeKind.ACTOR:
-            for field_name in flow.fields:
-                effect |= self._actor_gain(flow.target, field_name)
-            record.label = TransitionLabel(
-                action=ActionType.COLLECT, fields=flow.fields,
-                actor=flow.target, source=flow.source,
-                target=flow.target, purpose=flow.purpose or None,
-                flow_key=flow.key)
-        elif source_kind is NodeKind.ACTOR and \
-                target_kind is NodeKind.ACTOR:
-            effect |= self._originated_gain(flow.source, flow.fields)
-            for field_name in flow.fields:
-                effect |= self._actor_gain(flow.target, field_name)
-            record.label = TransitionLabel(
-                action=ActionType.DISCLOSE, fields=flow.fields,
-                actor=flow.source, source=flow.source,
-                target=flow.target, purpose=flow.purpose or None,
-                flow_key=flow.key)
-        elif source_kind is NodeKind.ACTOR and \
-                target_kind is NodeKind.USER:
-            # Returning data to the subject does not change their
-            # privacy, but sending originated fields materialises them.
-            effect |= self._originated_gain(flow.source, flow.fields)
-            record.label = TransitionLabel(
-                action=ActionType.DISCLOSE, fields=flow.fields,
-                actor=flow.source, source=flow.source,
-                target=flow.target, purpose=flow.purpose or None,
-                flow_key=flow.key)
-        elif source_kind is NodeKind.ACTOR and \
-                target_kind is NodeKind.DATASTORE:
-            store = self.system.datastore(flow.target)
-            effect |= self._originated_gain(flow.source, flow.fields)
-            stored_fields = []
-            for field_name in flow.fields:
-                if store.anonymised and \
-                        anon_name(field_name) in store.schema:
-                    stored_fields.append(anon_name(field_name))
-                else:
-                    stored_fields.append(field_name)
-            for field_name in stored_fields:
-                effect |= self.codec.content_bit[
-                    (store.name, field_name)]
-            action = ActionType.ANON if store.anonymised \
-                else ActionType.CREATE
-            record.label = TransitionLabel(
-                action=action, fields=tuple(stored_fields),
-                actor=flow.source, source=flow.source,
-                target=flow.target, schema=store.schema.name,
-                purpose=flow.purpose or None, flow_key=flow.key)
-        elif source_kind is NodeKind.DATASTORE and \
-                target_kind is NodeKind.ACTOR:
-            store = self.system.datastore(flow.source)
-            for field_name in flow.fields:
-                effect |= self._actor_gain(flow.target, field_name)
-            record.label = TransitionLabel(
-                action=ActionType.READ, fields=flow.fields,
-                actor=flow.target, source=flow.source,
-                target=flow.target, schema=store.schema.name,
-                purpose=flow.purpose or None, flow_key=flow.key)
-        else:
+        rule = self._FLOW_RULES.get((source_kind, target_kind))
+        if rule is None:
             record.error = GenerationError(
                 f"flow {flow.describe()} has an unsupported endpoint "
                 f"combination ({source_kind.value} -> "
                 f"{target_kind.value})"
             )
             return
+        action, acting = rule
+        effect = record.fired_bit
+        fields, schema = flow.fields, None
+        if source_kind is NodeKind.ACTOR:
+            effect |= self._originated_gain(flow.source, fields)
+        if target_kind is NodeKind.ACTOR:
+            for field_name in fields:
+                effect |= self._actor_gain(flow.target, field_name)
+        if target_kind is NodeKind.DATASTORE:
+            store = self.system.datastore(flow.target)
+            fields = tuple(
+                anon_name(f) if store.anonymised
+                and anon_name(f) in store.schema else f for f in fields)
+            for field_name in fields:
+                effect |= self.codec.content_bit[(store.name, field_name)]
+            action = ActionType.ANON if store.anonymised \
+                else ActionType.CREATE
+            schema = store.schema.name
+        elif source_kind is NodeKind.DATASTORE:
+            schema = self.system.datastore(flow.source).schema.name
+        record.label = TransitionLabel(
+            action=action, fields=fields, actor=getattr(flow, acting),
+            source=flow.source, target=flow.target, schema=schema,
+            purpose=flow.purpose or None, flow_key=flow.key)
         record.effect = effect
 
     # -- successor computation ----------------------------------------------------------
 
-    def _dataflow_enabled(self, packed: int,
-                          records) -> List[_FlowRecord]:
+    def _enabled(self, packed: int, groups, first_only: bool
+                 ) -> List[tuple]:
+        """``(label, kind, successor)`` of every enabled flow. With
+        ``first_only`` (sequence ordering), only the lowest-order
+        unfired flow of each group (one per selected service entry)
+        may fire."""
         enabled = []
-        for record in records:
-            if packed & record.fired_bit:
-                continue
-            if record.on_ready_check:
-                raise record.error
-            if record.never_ready:
-                continue
-            need = record.need
-            if packed & need == need:
-                if record.error is not None:
-                    raise record.error
-                enabled.append(record)
-        return enabled
-
-    def _sequence_enabled(self, packed: int,
-                          by_service) -> List[_FlowRecord]:
-        """Per selection group (one per selected service entry), only
-        the lowest-order unfired flow may fire."""
-        enabled = []
-        for group in by_service:
+        for group in groups:
             for record in group:
                 if packed & record.fired_bit:
                     continue
-                if record.on_ready_check:
-                    raise record.error
-                if not record.never_ready:
-                    need = record.need
-                    if packed & need == need:
-                        if record.error is not None:
-                            raise record.error
-                        enabled.append(record)
-                break
+                need = record.need
+                if packed & need == need:
+                    if record.error is not None:
+                        raise record.error
+                    enabled.append((record.label, _FLOW,
+                                    packed | record.effect))
+                if first_only:
+                    break
         return enabled
 
     # -- privacy vector derivation ---------------------------------------------------
 
-    def _could_table(self) -> List[int]:
-        """could-variable delta of each content bit: every registered
-        actor the policy lets read that (store, field)."""
-        table = self._could_by_cbit
-        if table is None:
-            registry = self.registry
-            actors = self.system.actors
-            readers = self.system.policy.readers
-            table = []
-            for store_name, field_name in self.codec.content_pairs:
-                mask = 0
-                for actor in readers(store_name, field_name):
-                    if actor in actors:
-                        mask |= registry.could_mask_of(actor, field_name)
-                table.append(mask)
-            self._could_by_cbit = table
-        return table
-
     def _could_mask(self, packed: int) -> int:
-        contents_bits = packed & self.codec.cont_mask
-        cached = self._could_cache.get(contents_bits)
-        if cached is not None:
-            return cached
-        table = self._could_table()
-        offset = self.codec.cont_off
-        mask = 0
-        bits = contents_bits
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            mask |= table[low.bit_length() - 1 - offset]
-        self._could_cache[contents_bits] = mask
+        """The could bits of a state: for each stored (store, field),
+        every registered actor the policy lets read it, by a per
+        content bit table compiled on first use."""
+        contents = packed & self.codec.cont_mask
+        mask = self._could_cache.get(contents)
+        if mask is None:
+            table = self._could_by_cbit
+            if table is None:
+                table = self._could_by_cbit = []
+                readers = self.system.policy.readers
+                for store_name, field_name in self.codec.content_pairs:
+                    table.append(0)
+                    for actor in readers(store_name, field_name):
+                        if actor in self.system.actors:
+                            table[-1] |= self.registry.could_mask_of(
+                                actor, field_name)
+            mask, bits = 0, contents >> self.codec.cont_off
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                mask |= table[low.bit_length() - 1]
+            self._could_cache[contents] = mask
         return mask
 
     # -- policy-derived transitions ------------------------------------------------------
@@ -705,39 +540,20 @@ class ModelGenerator:
         one actor, computed once per generator."""
         table = self._actor_tables.get(actor)
         if table is None:
-            can_read = self.system.policy.can_read
-            can_delete = self.system.policy.can_delete
-            readable: List[int] = []
-            deletable: List[int] = []
-            index = 0
-            for store_name, store_mask in self.codec.sorted_stores:
-                read_mask = 0
-                delete_mask = 0
-                while (1 << (index + self.codec.cont_off)) & store_mask:
-                    store, field_name = self.codec.content_pairs[index]
-                    bit = 1 << (index + self.codec.cont_off)
-                    if can_read(actor, store, field_name):
-                        read_mask |= bit
-                    if can_delete(actor, store, field_name):
-                        delete_mask |= bit
-                    index += 1
-                readable.append(read_mask)
-                deletable.append(delete_mask)
-            table = (tuple(readable), tuple(deletable))
-            self._actor_tables[actor] = table
+            policy, codec = self.system.policy, self.codec
+            granted = [0, 0]
+            for index, (store, field_name) in \
+                    enumerate(codec.content_pairs):
+                bit = 1 << (index + codec.cont_off)
+                if policy.can_read(actor, store, field_name):
+                    granted[0] |= bit
+                if policy.can_delete(actor, store, field_name):
+                    granted[1] |= bit
+            table = self._actor_tables[actor] = tuple(
+                tuple(mask & store_mask
+                      for _, store_mask in codec.sorted_stores)
+                for mask in granted)
         return table
-
-    def _decode_store_fields(self, bits: int) -> Tuple[str, ...]:
-        """Field names of content ``bits`` (single store), sorted —
-        content bits are assigned in sorted-field order."""
-        pairs = self.codec.content_pairs
-        offset = self.codec.cont_off
-        fields = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            fields.append(pairs[low.bit_length() - 1 - offset][1])
-        return tuple(fields)
 
     def _policy_successors(self, packed: int,
                            potential_actors: Tuple[str, ...],
@@ -752,55 +568,44 @@ class ModelGenerator:
         if not packed & self.codec.cont_mask:
             return
         sorted_stores = self.codec.sorted_stores
-        for actor in potential_actors:
-            readable_by_store = self._actor_table(actor)[0]
-            for index, (store_name, store_mask) in \
-                    enumerate(sorted_stores):
-                if not packed & store_mask:
-                    continue
-                readable = packed & readable_by_store[index]
-                if not readable:
-                    continue
-                cached = self._read_labels.get((actor, readable))
-                if cached is None:
-                    fields = self._decode_store_fields(readable)
-                    gain = 0
-                    for field_name in fields:
-                        gain |= self._actor_gain(actor, field_name)
-                    label = TransitionLabel(
-                        action=ActionType.READ, fields=fields,
-                        actor=actor, source=store_name, target=actor,
-                        schema=self.system.datastore(
-                            store_name).schema.name)
-                    cached = (gain, label)
-                    self._read_labels[(actor, readable)] = cached
-                gain, label = cached
-                successor = packed | gain
-                if successor == packed:
-                    continue
-                yield label, TransitionKind.POTENTIAL, successor
-        for actor in deletion_actors:
-            deletable_by_store = self._actor_table(actor)[1]
-            for index, (store_name, store_mask) in \
-                    enumerate(sorted_stores):
-                if not packed & store_mask:
-                    continue
-                deletable = packed & deletable_by_store[index]
-                if not deletable:
-                    continue
-                cached = self._delete_labels.get((actor, deletable))
-                if cached is None:
-                    label = TransitionLabel(
-                        action=ActionType.DELETE,
-                        fields=self._decode_store_fields(deletable),
-                        actor=actor, source=actor, target=store_name,
-                        schema=self.system.datastore(
-                            store_name).schema.name)
-                    self._delete_labels[(actor, deletable)] = (label,)
-                else:
-                    label = cached[0]
-                yield label, TransitionKind.POTENTIAL, \
-                    packed & ~deletable
+        for deleting, actors in ((0, potential_actors),
+                                 (1, deletion_actors)):
+            for actor in actors:
+                for (store_name, _), allowed in zip(
+                        sorted_stores, self._actor_table(actor)[deleting]):
+                    bits = packed & allowed
+                    if not bits:
+                        continue
+                    cached = self._policy_labels.get(
+                        (deleting, actor, bits))
+                    if cached is None:
+                        cached = self._policy_labels[
+                            (deleting, actor, bits)] = self._policy_label(
+                                deleting, actor, store_name, bits)
+                    gain, label = cached
+                    successor = packed & ~bits if deleting \
+                        else packed | gain
+                    if successor != packed:
+                        yield label, TransitionKind.POTENTIAL, successor
+
+    def _policy_label(self, deleting: int, actor: str, store_name: str,
+                      bits: int) -> Tuple[int, TransitionLabel]:
+        """(has+holdings gain, label) of ``actor`` reading (or
+        deleting) content ``bits`` of one store."""
+        # Sorted, as a store's content bits are.
+        fields = tuple(sorted(
+            field for _, field in self.codec.decode_contents(bits)))
+        schema = self.system.datastore(store_name).schema.name
+        if deleting:
+            return 0, TransitionLabel(
+                action=ActionType.DELETE, fields=fields, actor=actor,
+                source=actor, target=store_name, schema=schema)
+        gain = 0
+        for field_name in fields:
+            gain |= self._actor_gain(actor, field_name)
+        return gain, TransitionLabel(
+            action=ActionType.READ, fields=fields, actor=actor,
+            source=store_name, target=actor, schema=schema)
 
 
 def generate_lts(system: SystemModel,

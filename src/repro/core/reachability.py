@@ -110,9 +110,9 @@ def identification_report(lts: LTS) -> Dict[str, Dict[str, Set[str]]]:
         actor: {"has": set(), "could": set()}
         for actor in registry.actors
     }
-    combined = 0
+    combined, masks = 0, lts.masks
     for sid in reachable_states(lts):
-        combined |= lts.state(sid).vector.mask
+        combined |= masks[sid]
     while combined:
         low = combined & -combined
         combined ^= low

@@ -99,34 +99,43 @@ class DisclosureRiskAnalyzer:
             lts = self._generate(user, options)
 
         levels = self._level_table(lts.registry, user, allowed)
-        masks = [state.vector.mask for state in lts.states]
+        masks = lts.masks
         datastores = self.system.datastores
-        # (actor, store, fields, impact) -> (assessment, breakdown):
-        # reads of one record by one actor repeat across interleavings.
-        scored: Dict[tuple, tuple] = {}
+        # The paper attaches the risk *level* to reads by non-allowed
+        # actors (other transitions keep their impact): their label rows.
+        reads = {index for index, (label, _) in enumerate(lts.labels)
+                 if label.action is ActionType.READ
+                 and label.actor in non_allowed}
+        impact_of: Dict[int, float] = {}  # few distinct deltas per model
         impacts: List[float] = []
-        events = []
-        for transition in lts.transitions:
-            delta = masks[transition.target] & ~masks[transition.source]
-            impact = 0.0
-            for level, mask in levels:
-                if delta & mask:
-                    impact = level
-                    break
+        hits: List[Tuple[int, int, float]] = []  # (tid, label row, impact)
+        for tid, (source, target, index) in enumerate(zip(
+                lts.sources, lts.targets, lts.label_indices)):
+            delta = masks[target] & ~masks[source]
+            impact = impact_of.get(delta)
+            if impact is None:
+                impact = 0.0
+                for level, mask in levels:
+                    if delta & mask:
+                        impact = level
+                        break
+                impact_of[delta] = impact
             impacts.append(impact)
+            if index in reads:
+                hits.append((tid, index, impact))
+        # (label row, impact) -> (assessment, breakdown): reads of one
+        # record by one actor repeat across interleavings.
+        scored: Dict[tuple, tuple] = {}
+        events = []
+        for transition, (_, index, impact) in zip(
+                lts.transitions_at([hit[0] for hit in hits]), hits):
             label = transition.label
-            # The paper attaches the risk *level* to reads by
-            # non-allowed actors; other transitions keep their impact.
-            if label.action is not ActionType.READ or \
-                    label.actor not in non_allowed:
-                continue
             store = label.source if label.source in datastores else None
-            key = (label.actor, store, label.fields, impact)
-            pair = scored.get(key)
+            pair = scored.get((index, impact))
             if pair is None:
                 likelihood = self.likelihood.probability(
                     label.actor, store, label.fields)
-                pair = scored[key] = (
+                pair = scored[(index, impact)] = (
                     self.matrix.assess(impact, likelihood),
                     tuple(self.likelihood.breakdown(
                         label.actor, store, label.fields)))
@@ -157,10 +166,13 @@ class DisclosureRiskAnalyzer:
         """
         by_level: Dict[float, int] = {}
         sigma = user.sensitivity.sigma
+        level_of: Dict[str, float] = {}  # sigma(d): per field, not pair
         for actor, field in registry.pairs:
             if actor in allowed:
                 continue
-            level = sigma(field)
+            level = level_of.get(field)
+            if level is None:
+                level = level_of[field] = sigma(field)
             if level > 0.0:
                 by_level[level] = by_level.get(level, 0) | \
                     registry.has_mask_of(actor, field) | \

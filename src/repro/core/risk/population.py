@@ -51,6 +51,7 @@ so a deployment can audit *why* a model scores what it scores.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..._util import ascii_table
@@ -363,14 +364,19 @@ class VectorizedPopulationAnalyzer:
         event_counts: Dict[Tuple[int, RiskLevel], int] = {}
         hot_pairs = set()
         field_mask_by_delta: Dict[int, int] = {}
-        state = lts.state
-        for transition in lts.transitions:
-            label = transition.label
-            if label.action is not ActionType.READ or \
-                    label.actor not in non_allowed:
-                continue
-            delta = state(transition.target).vector.mask & \
-                ~state(transition.source).vector.mask
+        masks, labels = lts.masks, lts.labels
+        reads = {index for index, (label, _) in enumerate(labels)
+                 if label.action is ActionType.READ
+                 and label.actor in non_allowed}
+        # Each distinct (label row, delta) is scored once, with its
+        # count; Counter keeps first-occurrence order.
+        pairs = Counter(
+            (index, masks[target] & ~masks[source])
+            for source, target, index in zip(
+                lts.sources, lts.targets, lts.label_indices)
+            if index in reads)
+        for (index, delta), count in pairs.items():
+            label = labels[index][0]
             field_mask = field_mask_by_delta.get(delta)
             if field_mask is None:
                 field_mask = self._compiler.project_fields(
@@ -381,7 +387,7 @@ class VectorizedPopulationAnalyzer:
             likelihood = self.likelihood.probability(
                 label.actor, store, label.fields)
             key = (field_mask, lik_banding.categorize(likelihood))
-            event_counts[key] = event_counts.get(key, 0) + 1
+            event_counts[key] = event_counts.get(key, 0) + count
             for field in label.fields:
                 hot_pairs.add((label.actor, field))
         return _GroupPlan(event_counts, frozenset(hot_pairs),

@@ -190,24 +190,23 @@ class PseudonymisationRiskAnalyzer:
                         anon_quasi_fields: Tuple[str, ...]
                         ) -> List[PseudonymisationRisk]:
         risks: List[PseudonymisationRisk] = []
+        has = lts.registry.has_mask_of
+        anon_bit, raw_bit = has(actor, sensitive_anon), has(actor, sensitive)
+        quasi = [(f, has(actor, f)) for f in anon_quasi_fields]
         # Snapshot: we append states/transitions while iterating.
-        for state in tuple(lts.states):
-            if not state.vector.has(actor, sensitive_anon):
-                continue
-            if state.vector.has(actor, sensitive):
-                continue  # nothing left to infer
-            fields_read = tuple(
-                f for f in anon_quasi_fields
-                if state.vector.has(actor, f)
-            )
+        for sid, mask in enumerate(tuple(lts.masks)):
+            if not mask & anon_bit or mask & raw_bit:
+                continue  # not at risk, or nothing left to infer
+            fields_read = tuple(f for f, bit in quasi if mask & bit)
             result = self._score(fields_read)
-            target_sid = self._risk_target(lts, state, actor, sensitive)
+            target_sid = self._risk_target(lts, lts.state(sid), actor,
+                                           sensitive)
             label = TransitionLabel(
                 action=ActionType.READ, fields=(sensitive,), actor=actor,
-                source=state.name(), target=actor,
+                source=f"s{sid}", target=actor,
                 purpose="value inference from pseudonymised data")
             transition = lts.add_transition(
-                state.sid, target_sid, label, TransitionKind.RISK)
+                sid, target_sid, label, TransitionKind.RISK)
             risks.append(PseudonymisationRisk(
                 transition=transition,
                 actor=actor,
@@ -221,13 +220,13 @@ class PseudonymisationRiskAnalyzer:
                      sensitive: str) -> int:
         """The state reached if the inference succeeds: has(actor, f)."""
         vector = state.vector.with_true(VarKind.HAS, actor, sensitive)
-        key = state.key
+        key, info = state.key, None  # a generated state's view decodes it
         if isinstance(key, Configuration):
             key = key.with_has_bits(
                 lts.registry.mask_of(VarKind.HAS, actor, sensitive))
         else:  # non-generated LTS (hand-built in tests)
-            key = ("risk", key, actor, sensitive)
-        sid, _ = lts.add_state(key, vector, dict(state.info))
+            key, info = ("risk", key, actor, sensitive), dict(state.info)
+        sid, _ = lts.add_state(key, vector, info)
         return sid
 
     def enforce(self, risks: Sequence[PseudonymisationRisk]) -> None:

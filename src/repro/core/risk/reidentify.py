@@ -137,20 +137,18 @@ class ReidentificationAnnotator:
         contexts of an existing risk table.
         """
         wanted = set(actors) if actors is not None else None
-        findings: List[ReidentificationFinding] = []
-        for transition in lts.transitions:
-            if transition.label.action is not ActionType.READ:
-                continue
-            if wanted is not None and \
-                    transition.label.actor not in wanted:
-                continue
-            anon_fields = tuple(
-                f for f in transition.label.fields if is_anon_name(f)
-            )
-            if not anon_fields:
-                continue
-            findings.append(self._score(transition, anon_fields))
-        return findings
+        # Label row -> the pseudonymised fields of a read scored.
+        anon_by_row = {}
+        for index, (label, _) in enumerate(lts.labels):
+            anon_fields = tuple(f for f in label.fields if is_anon_name(f))
+            if anon_fields and label.action is ActionType.READ and (
+                    wanted is None or label.actor in wanted):
+                anon_by_row[index] = anon_fields
+        rows = lts.label_indices
+        return [self._score(transition, anon_by_row[rows[transition.tid]])
+                for transition in lts.transitions_at([
+                    tid for tid, index in enumerate(rows)
+                    if index in anon_by_row])]
 
     def _score(self, transition: Transition,
                anon_fields: Tuple[str, ...]) -> ReidentificationFinding:

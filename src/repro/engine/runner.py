@@ -209,7 +209,7 @@ def _run_analysis(job: AnalysisJob, fingerprint: str,
         fingerprint=fingerprint,
         user=job.user.name,
         states=len(lts) if lts is not None else 0,
-        transitions=len(lts.transitions) if lts is not None else 0,
+        transitions=lts.transition_count if lts is not None else 0,
         max_level=outcome.max_level,
         events=outcome.events,
         non_allowed_actors=outcome.non_allowed_actors,

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.reachability import terminal_states
 from repro.dfd import SystemBuilder
-from repro.errors import GenerationError, StateLimitExceeded
+from repro.errors import GenerationError, ModelError, StateLimitExceeded
 
 
 def _linear_system():
@@ -206,6 +206,44 @@ class TestOptions:
         with pytest.raises(GenerationError, match="not"):
             generate_lts(system, GenerationOptions(
                 initial_store_contents={"D": ("ghost",)}))
+
+
+def _broken_endpoints(second_flow):
+    """User -> A, a broken second flow, then A -> B."""
+    builder = (SystemBuilder("broken").schema("S", ["a", "b"])
+               .actor("A").actor("B").datastore("D", "S")
+               .service("svc").flow(1, "User", "A", ["a"]))
+    return builder.flow(2, *second_flow).flow(3, "A", "B", ["a"]) \
+        .build(validate=False)
+
+
+class TestDeferredEndpointErrors:
+    """A flow with a broken endpoint raises only where the frozenset
+    generator raised: an unknown source whenever the unfired flow is
+    considered, anything else once the flow is ready to fire."""
+
+    @pytest.mark.parametrize("ordering", ["dataflow", "sequence"])
+    def test_unknown_source_raises_when_considered(self, ordering):
+        system = _broken_endpoints(("Ghost", "B", ["a"]))
+        with pytest.raises(ModelError, match="Ghost"):
+            generate_lts(system, GenerationOptions(ordering=ordering))
+
+    @pytest.mark.parametrize("second_flow", [
+        ("B", "Ghost", ["b"]), ("D", "B", ["ghost"]),
+        ("D", "Ghost", ["ghost"])])
+    @pytest.mark.parametrize("ordering", ["dataflow", "sequence"])
+    def test_a_flow_never_ready_never_raises(self, second_flow, ordering):
+        """B never holds ``b``, and no store ever holds ``ghost``: the
+        flow never fires, and in sequence mode it blocks its service."""
+        lts = generate_lts(_broken_endpoints(second_flow),
+                           GenerationOptions(ordering=ordering))
+        assert len(lts) == (3 if ordering == "dataflow" else 2)
+        assert all(t.label.flow_key != ("svc", 2) for t in lts.transitions)
+
+    def test_unready_target_error_raises_once_ready(self):
+        system = _broken_endpoints(("A", "Ghost", ["a"]))
+        with pytest.raises(ModelError, match="Ghost"):
+            generate_lts(system)
 
 
 class TestPotentialReads:

@@ -12,6 +12,7 @@ from repro.core import (
     VariableRegistry,
 )
 from repro.errors import ModelError
+from test_property_based import _compiled_rows, _reference_lts
 
 
 @pytest.fixture
@@ -304,3 +305,185 @@ def test_lazy_adjacency_matches_a_filter_of_transitions(actors, fields,
     assert fork_rows == _adjacency_by_filter(fork)
     assert sum(len(out) for out, _, _, _ in fork_rows.values()) == \
         len(base.transitions) + len(risks)
+
+
+# -- the columnar LTS ---------------------------------------------------------
+#
+# Generation fills int columns; State/Transition objects are views built
+# from them on first read. These properties check every view against
+# the columns and against the frozenset reference generator.
+
+def _scaled_lts(actors, fields, stores, ordering, potential):
+    from repro.core import GenerationOptions, ModelGenerator
+    system = build_scaled_system(actors=actors, fields=fields,
+                                 stores=stores, pseudonymise=True)
+    options = GenerationOptions(ordering=ordering,
+                                include_potential_reads=potential)
+    return system, options, ModelGenerator(system).generate(options)
+
+
+def _stats_by_walking(lts):
+    """``stats()`` as the object loop used to count it."""
+    actions, kinds = {}, {}
+    for transition in lts.transitions:
+        name = transition.label.action.value
+        actions[name] = actions.get(name, 0) + 1
+        kinds[transition.kind.value] = \
+            kinds.get(transition.kind.value, 0) + 1
+    return {"states": len(lts.states),
+            "transitions": len(lts.transitions),
+            "variables": len(lts.registry), "actions": actions,
+            "kinds": kinds}
+
+
+def _assert_views_match_columns(lts):
+    states, transitions = lts.states, lts.transitions
+    assert [s.sid for s in states] == list(range(len(lts)))
+    assert [s.vector.mask for s in states] == list(lts.masks)
+    assert all(lts.state(s.sid) is s and lts.state_by_key(s.key) is s
+               for s in states)
+    assert [(t.tid, t.source, t.target, (t.label, t.kind))
+            for t in transitions] == [
+        (tid, source, target, lts.labels[index])
+        for tid, (source, target, index) in enumerate(zip(
+            lts.sources, lts.targets, lts.label_indices))]
+    assert all(lts.transition(t.tid) is t for t in transitions)
+    assert lts.transition_count == len(transitions)
+    for sid in range(len(lts)):
+        out = tuple(t for t in transitions if t.source == sid)
+        inc = tuple(t for t in transitions if t.target == sid)
+        assert lts.transitions_from(sid) == out
+        assert lts.transitions_to(sid) == inc
+        assert lts.successors(sid) == tuple(t.target for t in out)
+        assert lts.predecessors(sid) == tuple(t.source for t in inc)
+    stats = lts.stats()
+    expected = _stats_by_walking(lts)
+    assert stats == expected
+    # Same first-occurrence order, as the CLI and reports print it.
+    assert list(stats["actions"]) == list(expected["actions"])
+    assert list(stats["kinds"]) == list(expected["kinds"])
+
+
+@given(actors=st.integers(min_value=2, max_value=4),
+       fields=st.integers(min_value=2, max_value=5),
+       stores=st.integers(min_value=1, max_value=2),
+       ordering=st.sampled_from(("dataflow", "sequence")),
+       potential=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_views_equal_the_columns_and_the_reference(actors, fields, stores,
+                                                   ordering, potential):
+    system, options, lts = _scaled_lts(actors, fields, stores, ordering,
+                                       potential)
+    assert _compiled_rows(lts) == _reference_lts(system, options)
+    _assert_views_match_columns(lts)
+    assert lts.initial is lts.states[0]
+    frozen = lts.freeze()
+    _assert_views_match_columns(frozen.fork())
+
+
+@given(actors=st.integers(min_value=2, max_value=4),
+       fields=st.integers(min_value=2, max_value=5),
+       ordering=st.sampled_from(("dataflow", "sequence")),
+       potential=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_fork_rows_never_show_in_the_base_or_a_sibling(actors, fields,
+                                                       ordering, potential):
+    import pickle
+    from repro.core.risk import PseudonymisationRiskAnalyzer
+    from repro.core.risk.pseudonym import default_policy_for
+    system, _, base = _scaled_lts(actors, fields, 1, ordering, potential)
+    base.freeze()
+    before = (len(base), base.transition_count, base.states,
+              base.transitions, list(base.masks), list(base.sources),
+              len(base.labels), base.stats())
+    annotated, sibling = base.fork(), base.fork()
+    risks = PseudonymisationRiskAnalyzer(
+        system, default_policy_for(system)).annotate(annotated)
+    assert risks
+    key = ("sibling", 0)
+    sid, created = sibling.add_state(key, base.registry.empty_vector(),
+                                     {"note": 1})
+    sibling.add_transition(0, sid, _label())
+    assert created and sid == len(base)
+
+    assert (len(base), base.transition_count, base.states,
+            base.transitions, list(base.masks), list(base.sources),
+            len(base.labels), base.stats()) == before
+    assert base.state_by_key(key) is None
+    assert not base.transitions_of_kind(TransitionKind.RISK)
+    assert not sibling.transitions_of_kind(TransitionKind.RISK)
+    assert annotated.state_by_key(key) is None
+    assert len(sibling) == len(base) + 1
+    assert sibling.transition_count == base.transition_count + 1
+    added = annotated.states[len(base):]
+    assert all(sibling.state_by_key(s.key) is None for s in added)
+    assert sibling.state(sid).info == {"note": 1}
+    # Rows below the base length are the base's own view objects.
+    for fork in (annotated, sibling):
+        assert fork.states[:len(base)] == base.states
+        assert fork.transitions[:base.transition_count] == base.transitions
+        _assert_views_match_columns(fork)
+    assert [r.transition for r in risks] == list(
+        annotated.transitions_of_kind(TransitionKind.RISK))
+    restored = pickle.loads(pickle.dumps(annotated))
+    assert _compiled_views(restored) == _compiled_views(annotated)
+
+
+def _compiled_views(lts):
+    return ([(s.sid, s.vector.mask, s.key, dict(s.info))
+             for s in lts.states],
+            [(t.tid, t.source, t.target, t.label, t.kind)
+             for t in lts.transitions])
+
+
+def test_racing_first_reads_of_a_frozen_lts_get_the_same_objects():
+    """Eight threads race the first object reads of a frozen LTS; each
+    view is built under its lock, so all get identical objects."""
+    import sys
+    import threading
+    from repro.core import ModelGenerator
+    lts = ModelGenerator(build_scaled_system(
+        actors=4, fields=6, stores=2)).generate().freeze()
+    count = lts.transition_count
+    seen = []
+
+    def read(index):
+        if index % 2:
+            seen.append((tuple(lts.transitions_at(range(count))),
+                         tuple(map(lts.state, range(len(lts))))))
+        else:
+            seen.append((lts.transitions, lts.states))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(index,))
+                   for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8
+    transitions, states = lts.transitions, lts.states
+    assert len(transitions) == count and len(states) == len(lts)
+    for got_transitions, got_states in seen:
+        assert all(a is b for a, b in zip(got_transitions, transitions))
+        assert all(a is b for a, b in zip(got_states, states))
+
+
+def test_pickle_keeps_only_the_columns():
+    import pickle
+    from repro.core import ModelGenerator
+    lts = ModelGenerator(build_scaled_system(
+        actors=3, fields=4, stores=2)).generate().freeze()
+    assert set(lts.__getstate__()) == {
+        "_registry", "_codec", "_keys", "_masks", "_infos", "_sources",
+        "_targets", "_label_indices", "_labels", "_initial", "_frozen",
+        "_base", "_base_rows"}
+    restored = pickle.loads(pickle.dumps(lts))
+    assert restored.frozen
+    assert _compiled_views(restored) == _compiled_views(lts)
+    assert restored.state_by_key(lts.states[-1].key).sid == len(lts) - 1

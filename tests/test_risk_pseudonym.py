@@ -4,11 +4,15 @@ import pytest
 
 from repro.casestudies import build_research_system, table1_records
 from repro.core import (
+    LTS,
     ActionType,
     GenerationOptions,
     TransitionKind,
+    VariableRegistry,
+    VarKind,
     generate_lts,
 )
+from repro.core.generation import ConfigurationInfo
 from repro.core.risk import (
     PseudonymisationRiskAnalyzer,
     ValueRiskPolicy,
@@ -81,6 +85,49 @@ class TestRiskTransitionInjection:
         risks = analyzer.annotate(research_lts, actors=["Researcher"])
         texts = [r.describe() for r in risks]
         assert any("violations=4/6" in t for t in texts)
+
+
+class TestInjectedStates:
+    """Risk targets are states added to the analysed LTS: a generated
+    key stays packed and lazy, a hand-built one keeps a dict."""
+
+    def test_generated_info_is_lazy_and_equals_the_eager_decode(
+            self, research_lts, analyzer):
+        base = research_lts.freeze()
+        fork = base.fork()
+        risks = analyzer.annotate(fork, actors=["Researcher"])
+        injected = [(risk, fork.state(risk.transition.target))
+                    for risk in risks
+                    if risk.transition.target >= len(base)]
+        assert injected
+        for risk, state in injected:
+            assert isinstance(state.info, ConfigurationInfo)
+            codec = state.key.codec
+            assert dict(state.info) == {
+                "holdings": codec.decode_holdings(state.key.packed),
+                "contents": codec.decode_contents(state.key.packed),
+                "fired": codec.decode_fired(state.key.packed),
+            }
+            source = fork.state(risk.transition.source)
+            assert dict(state.info) == dict(source.info)
+            assert fork.state_by_key(state.key) is state
+
+    def test_hand_built_info_stays_a_copied_dict(self, research_system,
+                                                 weight_policy):
+        registry = VariableRegistry(["Researcher"],
+                                    ["weight", "weight_anon"])
+        lts = LTS(registry)
+        info = {"note": "released"}
+        sid, _ = lts.add_state(
+            "s", registry.empty_vector().with_true(
+                VarKind.HAS, "Researcher", "weight_anon"), info)
+        risks = PseudonymisationRiskAnalyzer(
+            research_system, weight_policy).annotate(lts)
+        assert len(risks) == 1
+        target = lts.state(risks[0].transition.target)
+        assert target.key == ("risk", "s", "Researcher", "weight")
+        assert target.info == info and target.info is not info
+        assert target.vector.has("Researcher", "weight")
 
 
 class TestWithoutData:
